@@ -7,9 +7,8 @@ baselines, and proper scoring rules for evaluating the results.
 
 from .conditioning import (
     BaseForecastSet,
-    ExactJoint,
+    CountJoint,
     MarginalSummary,
-    SampledJoint,
     bottom_up_exact,
     condition_on_upper,
     correlation,
@@ -50,8 +49,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaseForecastSet",
+    "CountJoint",
     "CountPmf",
-    "ExactJoint",
     "GaussianForecast",
     "GaussianReconciled",
     "Hierarchy",
@@ -59,7 +58,6 @@ __all__ = [
     "MarginalSummary",
     "NegBinomial",
     "Poisson",
-    "SampledJoint",
     "ScoreReport",
     "StructuralScaling",
     "Tabulated",

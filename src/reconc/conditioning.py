@@ -56,29 +56,6 @@ class BaseForecastSet:
 
 
 @dataclass
-class ExactJoint:
-    """Tabulated coherent joint: bottom atoms with matching probabilities."""
-
-    bottom_support: np.ndarray  # (n_atoms, m) non-negative ints
-    probabilities: np.ndarray  # (n_atoms,) summing to 1
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n bottom vectors from the tabulated joint."""
-        p = self.probabilities / self.probabilities.sum()
-        idx = rng.choice(len(p), size=n, p=p)
-        return self.bottom_support[idx]
-
-    def to_dict(self, labels=None) -> dict:
-        d = {
-            "atoms": self.bottom_support.tolist(),
-            "probs": self.probabilities.tolist(),
-        }
-        if labels is not None:
-            d["labels"] = list(labels)
-        return d
-
-
-@dataclass
 class SamplerDiagnostics:
     acceptance_rates: np.ndarray  # per chain
     rhat: np.ndarray  # split R-hat per bottom coordinate
@@ -87,17 +64,63 @@ class SamplerDiagnostics:
     burn_in: int
     thin: int
 
+    def to_dict(self) -> dict:
+        return {"acceptance_rates": self.acceptance_rates.tolist(), "rhat": self.rhat.tolist(),
+                "n_kept": self.n_kept, "burn_in": self.burn_in, "thin": self.thin}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SamplerDiagnostics":
+        """Inverse of to_dict; the chain count is that of the acceptance rates."""
+        rates = np.asarray(d["acceptance_rates"], dtype=float)
+        return cls(rates, np.asarray(d["rhat"], dtype=float), n_chains=len(rates),
+                   n_kept=d["n_kept"], burn_in=d["burn_in"], thin=d["thin"])
+
 
 @dataclass
-class SampledJoint:
-    """Coherent joint held as sampled bottom vectors (chains concatenated)."""
+class CountJoint:
+    """Coherent joint pmf over bottom count vectors, held as weighted atoms.
 
-    draws: np.ndarray  # (n_draws, m) non-negative ints
-    seed: int | None = None
+    Exact enumeration stores distinct atoms with their probabilities; a
+    sampler stores its draws in draw order (chains concatenated), each an
+    atom of weight 1/N. Upper values are implied by A @ b.
+    """
+
+    bottom_support: np.ndarray  # (n_atoms, m) non-negative ints
+    probabilities: np.ndarray  # (n_atoms,) summing to 1
     diagnostics: SamplerDiagnostics | None = None
 
+    @classmethod
+    def from_draws(cls, draws: np.ndarray,
+                   diagnostics: SamplerDiagnostics | None = None) -> "CountJoint":
+        """Equal-weight joint over sampled bottom vectors, kept in draw order."""
+        return cls(draws, np.full(len(draws), 1.0 / len(draws)), diagnostics)
 
-ReconciledJoint = ExactJoint | SampledJoint
+    @property
+    def draws(self) -> np.ndarray:
+        """Read-only view of the atoms; for sampled joints, the draws in order."""
+        view = self.bottom_support.view()
+        view.flags.writeable = False
+        return view
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw n bottom vectors from the joint."""
+        p = self.probabilities / self.probabilities.sum()
+        idx = rng.choice(len(p), size=n, p=p)
+        return self.bottom_support[idx]
+
+    def to_dict(self, labels=None) -> dict:
+        d = {"atoms": self.bottom_support.tolist(), "probs": self.probabilities.tolist()}
+        if labels is not None:
+            d["labels"] = list(labels)
+        if self.diagnostics is not None:
+            d["diagnostics"] = self.diagnostics.to_dict()
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "CountJoint":
+        diagnostics = SamplerDiagnostics.from_dict(d["diagnostics"]) if "diagnostics" in d else None
+        return cls(np.asarray(d["atoms"], dtype=np.int64), np.asarray(d["probs"], dtype=float),
+                   diagnostics)
 
 
 def bottom_up_exact(
@@ -105,7 +128,7 @@ def bottom_up_exact(
     base: BaseForecastSet,
     epsilon: float = DEFAULT_EPSILON,
     cell_cap: int = DEFAULT_CELL_CAP,
-) -> ExactJoint:
+) -> CountJoint:
     """Tabulate the probabilistic bottom-up joint over a truncated support.
 
     Each bottom pmf is truncated at its 1-epsilon quantile; the product
@@ -128,12 +151,12 @@ def bottom_up_exact(
     probs = reduce(np.multiply.outer, marginals).reshape(-1)
     grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
     support = np.stack([g.reshape(-1) for g in grids], axis=1).astype(np.int64)
-    return ExactJoint(support, probs / probs.sum())
+    return CountJoint(support, probs / probs.sum())
 
 
 def condition_on_upper(
-    joint: ExactJoint, h: Hierarchy, upper_index: int, evidence: CountPmf
-) -> ExactJoint:
+    joint: CountJoint, h: Hierarchy, upper_index: int, evidence: CountPmf
+) -> CountJoint:
     """Update an exact joint with the virtual evidence for one upper node.
 
     Atom b is reweighted by the evidence mass at its aggregate value
@@ -153,7 +176,7 @@ def condition_on_upper(
         raise IncompatibleEvidence(
             f"evidence for upper node {upper_index} has no mass on reachable sums"
         )
-    return ExactJoint(joint.bottom_support, weights / total)
+    return CountJoint(joint.bottom_support, weights / total)
 
 
 def reconcile_exact(
@@ -161,7 +184,7 @@ def reconcile_exact(
     base: BaseForecastSet,
     epsilon: float = DEFAULT_EPSILON,
     cell_cap: int = DEFAULT_CELL_CAP,
-) -> ExactJoint:
+) -> CountJoint:
     """Bottom-up joint conditioned sequentially on every present evidence.
 
     Updates are applied in A-row order; the order does not matter because
@@ -204,14 +227,9 @@ def _split_rhat(kept: np.ndarray) -> np.ndarray:
     means = seqs.mean(axis=1)  # (2C, m)
     within = seqs.var(axis=1, ddof=1).mean(axis=0)  # (m,)
     between = half * means.var(axis=0, ddof=1)  # (m,)
-    rhat = np.empty(m)
-    for d in range(m):
-        if within[d] == 0:
-            rhat[d] = 1.0 if between[d] == 0 else np.inf
-        else:
-            var_plus = (half - 1) / half * within[d] + between[d] / half
-            rhat[d] = float(np.sqrt(var_plus / within[d]))
-    return rhat
+    with np.errstate(divide="ignore", invalid="ignore"):  # within == 0: set just below
+        rhat = np.sqrt(((half - 1) / half * within + between / half) / within)
+    return np.where(within == 0, np.where(between == 0, 1.0, np.inf), rhat)
 
 
 def reconcile_mcmc(
@@ -222,7 +240,7 @@ def reconcile_mcmc(
     burn_in: int | None = None,
     seed: int = 0,
     thin: int = 10,
-) -> SampledJoint:
+) -> CountJoint:
     """Sample the reconciled joint with Metropolis-Hastings.
 
     The unnormalized target over bottom vectors is the product of the bottom
@@ -320,20 +338,14 @@ def reconcile_mcmc(
         burn_in=burn_in,
         thin=thin,
     )
-    return SampledJoint(kept.reshape(-1, h.m), seed=seed, diagnostics=diag)
+    return CountJoint.from_draws(kept.reshape(-1, h.m), diag)
 
 
-def _node_values(joint: ReconciledJoint, h: Hierarchy, node_index: int):
-    """Values of one node across atoms/draws, with matching weights."""
+def _node_values(joint: CountJoint, h: Hierarchy, node_index: int):
+    """Values of one node across the atoms, with matching weights."""
     if not 0 <= node_index < h.n:
         raise DimensionError(f"node index {node_index} out of range for n={h.n}")
-    if isinstance(joint, ExactJoint):
-        bottoms, weights = joint.bottom_support, joint.probabilities
-    else:
-        bottoms = joint.draws
-        weights = np.full(len(bottoms), 1.0 / len(bottoms))
-    values = bottoms @ h.s_matrix[node_index]
-    return values, weights
+    return joint.bottom_support @ h.s_matrix[node_index], joint.probabilities
 
 
 @dataclass
@@ -356,6 +368,12 @@ class MarginalSummary:
             "marginal": self.pmf.to_dict(),
         }
 
+    @classmethod
+    def of(cls, label: str, pmf: Tabulated, alpha: float) -> "MarginalSummary":
+        """Moments, median and central 1 - alpha interval of a tabulated pmf."""
+        return cls(label, pmf.mean(), pmf.variance(), pmf.median(),
+                   central_interval(pmf, alpha), pmf)
+
 
 def central_interval(pmf: Tabulated, alpha: float) -> tuple[int, int]:
     """Equal-tailed interval on counts with coverage >= 1 - alpha.
@@ -370,29 +388,22 @@ def central_interval(pmf: Tabulated, alpha: float) -> tuple[int, int]:
     return lo, min(hi, pmf.support_max)
 
 
-def summarize(joint: ReconciledJoint, h: Hierarchy, alpha: float = 0.1) -> dict[str, MarginalSummary]:
+def summarize(joint: CountJoint, h: Hierarchy, alpha: float = 0.1) -> dict[str, MarginalSummary]:
     """Marginal summaries for every node, keyed by node label.
 
     Bottom marginals come straight from the joint; upper marginals aggregate
-    each atom/draw through the relevant A row. Intervals are equal-tailed
+    each atom through the relevant A row. Intervals are equal-tailed
     central intervals at level 1 - alpha.
     """
     out = {}
     for idx, label in enumerate(h.node_labels):
         values, weights = _node_values(joint, h, idx)
-        pmf = Tabulated.from_weights(np.bincount(values, weights=weights))
-        out[label] = MarginalSummary(
-            label=label,
-            mean=pmf.mean(),
-            variance=pmf.variance(),
-            median=pmf.median(),
-            interval=central_interval(pmf, alpha),
-            pmf=pmf,
-        )
+        out[label] = MarginalSummary.of(
+            label, Tabulated.from_weights(np.bincount(values, weights=weights)), alpha)
     return out
 
 
-def correlation(joint: ReconciledJoint, h: Hierarchy, node_i: int, node_j: int) -> float:
+def correlation(joint: CountJoint, h: Hierarchy, node_i: int, node_j: int) -> float:
     """Pearson correlation between two nodes under the reconciled joint."""
     vi, w = _node_values(joint, h, node_i)
     vj, _ = _node_values(joint, h, node_j)

@@ -65,5 +65,9 @@ class SeriesTooShort(ReconcError):
     """Series shorter than one block of the coarsest aggregation level."""
 
 
+class ObservationGap(ReconcError):
+    """A series' observation times skip or repeat a period."""
+
+
 class ConvergenceWarning(UserWarning):
     """Split-R-hat above threshold on at least one bottom coordinate."""

@@ -20,9 +20,14 @@ import numpy as np
 from scipy import stats
 
 from . import conditioning, mint, scoring
-from .conditioning import BaseForecastSet, ExactJoint, SampledJoint, summarize
+from .conditioning import (
+    BaseForecastSet,
+    CountJoint,
+    MarginalSummary,
+    SamplerDiagnostics,
+    summarize,
+)
 from .distributions import (
-    CountPmf,
     GaussianForecast,
     Poisson,
     Tabulated,
@@ -32,7 +37,9 @@ from .distributions import (
 from .errors import (
     MissingActuals,
     MissingForecast,
+    ObservationGap,
     SeriesTooShort,
+    UndefinedScale,
     UndefinedSkill,
 )
 from .hierarchy import Hierarchy, aggregate, build_temporal_hierarchy
@@ -78,8 +85,7 @@ class ExperimentConfig:
     base_dir: Path = field(default_factory=Path)
 
     def resolve(self, path_str: str) -> Path:
-        p = Path(path_str)
-        return p if p.is_absolute() else self.base_dir / p
+        return self.base_dir / path_str  # an absolute path replaces base_dir
 
 
 def _hierarchy_from_config(section: dict, base_dir: Path) -> Hierarchy:
@@ -92,10 +98,7 @@ def _hierarchy_from_config(section: dict, base_dir: Path) -> Hierarchy:
         )
     if has_temporal:
         return build_temporal_hierarchy(section["bottom_period_count"], section["factors"])
-    p = Path(section["a_matrix_file"])
-    if not p.is_absolute():
-        p = base_dir / p
-    return Hierarchy.from_json(p.read_text())
+    return Hierarchy.from_json((base_dir / section["a_matrix_file"]).read_text())
 
 
 def load_config(path) -> ExperimentConfig:
@@ -148,7 +151,11 @@ def _check_series_id(sid: str):
 
 
 def read_observations(path) -> dict[str, np.ndarray]:
-    """Read a series_id,t,value CSV into per-series integer arrays."""
+    """Read a series_id,t,value CSV into per-series integer arrays.
+
+    Raises:
+        ObservationGap: a series' sorted times skip or repeat a period.
+    """
     rows: dict[str, list[tuple[int, int]]] = {}
     with open(path, newline="") as fh:
         for rec in csv.DictReader(fh):
@@ -157,6 +164,12 @@ def read_observations(path) -> dict[str, np.ndarray]:
     for sid, pairs in rows.items():
         _check_series_id(sid)
         pairs.sort()
+        times = np.array([t for t, _ in pairs])
+        breaks = np.nonzero(np.diff(times) != 1)[0]
+        if breaks.size:
+            i = breaks[0]
+            raise ObservationGap(f"series {sid!r} has t={times[i + 1]} after t={times[i]}; "
+                                 "observation times must be consecutive")
         values = np.array([v for _, v in pairs], dtype=np.int64)
         if (values < 0).any():
             raise ValueError(f"series {sid!r} has negative observations")
@@ -250,21 +263,6 @@ def _gaussian_node_summary(mean: float, var: float, alpha: float) -> dict:
     }
 
 
-def _count_node_summary(pmf: CountPmf, alpha: float, epsilon: float = 1e-9) -> dict:
-    if isinstance(pmf, Tabulated):
-        tab = pmf
-    else:
-        support = np.arange(pmf.quantile_truncate(epsilon) + 1)
-        tab = Tabulated.from_weights(pmf.pmf(support))
-    return {
-        "mean": tab.mean(),
-        "variance": tab.variance(),
-        "median": int(tab.median()),
-        "interval": list(conditioning.central_interval(tab, alpha)),
-        "marginal": tab.to_dict(),
-    }
-
-
 def _write_samples_csv(path, draws: np.ndarray, labels):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -272,34 +270,47 @@ def _write_samples_csv(path, draws: np.ndarray, labels):
         writer.writerows(draws.tolist())
 
 
-def _read_samples_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return np.array([[int(x) for x in row] for row in reader], dtype=np.int64)
+def _write_artifact(out_dir: Path, h: Hierarchy, method: str, sid: str, joint) -> dict:
+    """Write one series' reconciled joint; returns the record keys that locate it.
+
+    Sampler draws go to a CSV, one equal-weight atom per row in draw order.
+    """
+    if method == "base":
+        return {}
+    if method in STOCHASTIC_METHODS:
+        fname = f"samples_{sid}.csv"
+        _write_samples_csv(out_dir / fname, joint.draws, h.bottom_labels)
+        keys = {"samples_file": fname}
+        if joint.diagnostics is not None:
+            keys["diagnostics"] = joint.diagnostics.to_dict()
+        return keys
+    # encode here so that the to_dict lists are freed before write_text copies the text
+    if method == "probCount_exact":
+        fname, text = f"joint_{sid}.json", json.dumps(joint.to_dict(h.bottom_labels))
+    else:
+        fname, text = f"gaussian_{sid}.json", json.dumps(joint.to_dict())
+    (out_dir / fname).write_text(text)
+    return {"joint_file": fname}
 
 
-def reconcile_series(
-    h: Hierarchy,
-    method: str,
-    entries: dict[str, dict],
-    sampler: SamplerSettings,
-    alpha: float,
-    seed: int,
-):
+def _read_artifact(record: dict, method_dir: Path):
+    """The joint `_write_artifact` stored for one series record (None if none was)."""
+    if "samples_file" in record:
+        draws = np.loadtxt(method_dir / record["samples_file"], delimiter=",", skiprows=1,
+                           dtype=np.int64, ndmin=2)
+        diagnostics = record.get("diagnostics")
+        return CountJoint.from_draws(
+            draws, SamplerDiagnostics.from_dict(diagnostics) if diagnostics is not None else None)
+    if "joint_file" not in record:
+        return None
+    data = json.loads((method_dir / record["joint_file"]).read_text())
+    joint_type = CountJoint if record["method"] == "probCount_exact" else mint.GaussianReconciled
+    return joint_type.from_dict(data)
+
+
+def reconcile_series(h: Hierarchy, method: str, entries: dict[str, dict],
+                     sampler: SamplerSettings, alpha: float, seed: int):
     """Reconcile one series; returns (node summaries, joint artifact)."""
-    if method in ("probCount_exact", "probCount_mcmc"):
-        base = _count_forecast_set(h, entries)
-        if method == "probCount_exact":
-            joint = conditioning.reconcile_exact(h, base)
-        else:
-            joint = conditioning.reconcile_mcmc(
-                h, base, n_chains=sampler.chains, n_samples=sampler.draws,
-                burn_in=sampler.burn_in, seed=seed, thin=sampler.thin,
-            )
-        summaries = {k: s.to_dict() for k, s in summarize(joint, h, alpha).items()}
-        return summaries, joint
-
     if method in ("normal", "structural_scaling"):
         base = _gaussian_forecasts(h, entries)
         spec = mint.StructuralScaling() if method == "structural_scaling" else mint.HierarchyVariance()
@@ -309,15 +320,6 @@ def reconcile_series(
             for i, label in enumerate(h.node_labels)
         }
         return summaries, rec
-
-    if method == "truncated":
-        base = _gaussian_forecasts(h, entries)
-        joint = mint.reconcile_truncated(
-            h, base, mint.HierarchyVariance(), n_samples=sampler.chains * sampler.draws,
-            seed=seed,
-        )
-        summaries = {k: s.to_dict() for k, s in summarize(joint, h, alpha).items()}
-        return summaries, joint
 
     if method == "base":
         summaries = {}
@@ -329,10 +331,27 @@ def reconcile_series(
                 g = gaussian_from_dict(entry)
                 summaries[label] = _gaussian_node_summary(g.mean, g.variance, alpha)
             else:
-                summaries[label] = _count_node_summary(count_pmf_from_dict(entry), alpha)
+                pmf = count_pmf_from_dict(entry)
+                if not isinstance(pmf, Tabulated):
+                    pmf = Tabulated.from_weights(pmf.pmf(np.arange(pmf.quantile_truncate() + 1)))
+                summaries[label] = MarginalSummary.of(label, pmf, alpha).to_dict()
         return summaries, None
 
-    raise ValueError(f"unknown method {method!r}")
+    if method == "probCount_exact":
+        joint = conditioning.reconcile_exact(h, _count_forecast_set(h, entries))
+    elif method == "probCount_mcmc":
+        joint = conditioning.reconcile_mcmc(
+            h, _count_forecast_set(h, entries), n_chains=sampler.chains,
+            n_samples=sampler.draws, burn_in=sampler.burn_in, seed=seed, thin=sampler.thin,
+        )
+    elif method == "truncated":
+        joint = mint.reconcile_truncated(
+            h, _gaussian_forecasts(h, entries), mint.HierarchyVariance(),
+            n_samples=sampler.chains * sampler.draws, seed=seed,
+        )
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return {k: s.to_dict() for k, s in summarize(joint, h, alpha).items()}, joint
 
 
 def run_reconcile(cfg: ExperimentConfig, quiet: bool = False) -> Path:
@@ -365,34 +384,9 @@ def run_reconcile(cfg: ExperimentConfig, quiet: bool = False) -> Path:
         summaries, artifact = reconcile_series(
             h, cfg.method, forecasts[sid], cfg.sampler, cfg.scoring.alpha, series_seed,
         )
-        record = {"method": cfg.method, "alpha": cfg.scoring.alpha, "nodes": summaries}
-        if isinstance(artifact, ExactJoint):
-            fname = f"joint_{sid}.json"
-            (out_dir / fname).write_text(json.dumps(artifact.to_dict(h.bottom_labels)))
-            record["joint_file"] = fname
-        elif isinstance(artifact, SampledJoint):
-            fname = f"samples_{sid}.csv"
-            _write_samples_csv(out_dir / fname, artifact.draws, h.bottom_labels)
-            record["samples_file"] = fname
-            if artifact.diagnostics is not None:
-                d = artifact.diagnostics
-                record["diagnostics"] = {
-                    "acceptance_rates": d.acceptance_rates.tolist(),
-                    "rhat": d.rhat.tolist(),
-                    "n_kept": d.n_kept,
-                    "burn_in": d.burn_in,
-                    "thin": d.thin,
-                }
-        elif isinstance(artifact, mint.GaussianReconciled):
-            fname = f"gaussian_{sid}.json"
-            (out_dir / fname).write_text(json.dumps({
-                "mean": artifact.mean.tolist(),
-                "covariance": artifact.covariance.tolist(),
-                "bottom_mean": artifact.bottom_mean.tolist(),
-                "bottom_cov": artifact.bottom_cov.tolist(),
-            }))
-            record["joint_file"] = fname
-        all_summaries[sid] = record
+        all_summaries[sid] = {"method": cfg.method, "alpha": cfg.scoring.alpha,
+                              "nodes": summaries,
+                              **_write_artifact(out_dir, h, cfg.method, sid, artifact)}
         if not quiet:
             print(f"[{cfg.method}] series {sid}")
             print(format_summary_table(h, summaries))
@@ -415,47 +409,35 @@ def format_summary_table(h: Hierarchy, summaries: dict[str, dict]) -> str:
 # ---------------------------------------------------------------------------
 # score pipeline
 
-def _joint_batches(
-    h: Hierarchy,
-    record: dict,
-    method_dir: Path,
-    sid: str,
-    n_per_batch: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two batches of full-hierarchy vectors from a reconciled output."""
+def _joint_batches(h: Hierarchy, record: dict, method_dir: Path, sid: str, n_per_batch: int,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Two batches of full-hierarchy vectors from a reconciled output.
+
+    Stored draws are split into two halves; any other joint is sampled twice.
+    """
+    joint = _read_artifact(record, method_dir)
+    if joint is None:
+        # base method: independent per-node draws, incoherent by construction
+        def draw_batch():
+            cols = []
+            for label in h.node_labels:
+                marginal = record["nodes"][label]["marginal"]
+                if marginal["dist"] == "gaussian":
+                    cols.append(rng.normal(marginal["mean"], np.sqrt(marginal["var"]),
+                                           n_per_batch))
+                else:
+                    cols.append(count_pmf_from_dict(marginal).sample(n_per_batch, rng))
+            return np.column_stack(cols)
+
+        return draw_batch(), draw_batch()
     s_t = h.s_matrix.T
-    if "samples_file" in record:
-        draws = _read_samples_csv(method_dir / record["samples_file"])
+    if record["method"] in STOCHASTIC_METHODS:
+        draws = joint.draws
         half = len(draws) // 2
         if half < 1:
             raise MissingActuals(f"series {sid!r} has too few stored samples for the energy score")
         return draws[:half] @ s_t, draws[half: 2 * half] @ s_t
-    if "joint_file" in record and record["joint_file"].startswith("joint_"):
-        data = json.loads((method_dir / record["joint_file"]).read_text())
-        joint = ExactJoint(np.asarray(data["atoms"], dtype=np.int64),
-                           np.asarray(data["probs"], dtype=float))
-        return (joint.sample(n_per_batch, rng) @ s_t,
-                joint.sample(n_per_batch, rng) @ s_t)
-    if "joint_file" in record and record["joint_file"].startswith("gaussian_"):
-        data = json.loads((method_dir / record["joint_file"]).read_text())
-        mean = np.asarray(data["bottom_mean"], dtype=float)
-        cov = np.asarray(data["bottom_cov"], dtype=float)
-        a = rng.multivariate_normal(mean, cov, size=n_per_batch, method="eigh")
-        b = rng.multivariate_normal(mean, cov, size=n_per_batch, method="eigh")
-        return a @ s_t, b @ s_t
-    # base method: independent per-node draws, incoherent by construction
-    def draw_batch():
-        cols = []
-        for label in h.node_labels:
-            marginal = record["nodes"][label]["marginal"]
-            if marginal["dist"] == "gaussian":
-                cols.append(rng.normal(marginal["mean"], np.sqrt(marginal["var"]), n_per_batch))
-            else:
-                cols.append(count_pmf_from_dict(marginal).sample(n_per_batch, rng))
-        return np.column_stack(cols)
-
-    return draw_batch(), draw_batch()
+    return joint.sample(n_per_batch, rng) @ s_t, joint.sample(n_per_batch, rng) @ s_t
 
 
 def _node_rps(node_summary: dict, y: int) -> float:
@@ -482,6 +464,7 @@ def run_score(cfg: ExperimentConfig, quiet: bool = False) -> ScoreReport:
     alpha = cfg.scoring.alpha
     levels = node_levels(h)
     report = ScoreReport()
+    no_scale = 0
 
     for method in sorted(cfg.methods):
         method_dir = cfg.resolve(cfg.methods[method])
@@ -508,13 +491,20 @@ def run_score(cfg: ExperimentConfig, quiet: bool = False) -> ScoreReport:
             for level_name, count, _ in h.level_sizes:
                 idx = [i for i, (lvl, _) in enumerate(levels) if lvl == level_name]
                 medians = [record["nodes"][h.node_labels[i]]["median"] for i in idx]
-                report.add(sid, level_name, "all", "mase", method,
-                           scoring.mase(y_nodes[idx], medians, train_levels[level_name]))
+                try:
+                    value = scoring.mase(y_nodes[idx], medians, train_levels[level_name])
+                except UndefinedScale:
+                    no_scale += 1
+                    continue
+                report.add(sid, level_name, "all", "mase", method, value)
             batch_a, batch_b = _joint_batches(h, record, method_dir, sid,
                                               cfg.scoring.es_batch, rng)
             report.add(sid, "hierarchy", "all", "energy_score", method,
                        scoring.energy_score(batch_a, batch_b, y_nodes, alpha_exp=2.0))
 
+    if no_scale:
+        warnings.warn(f"{no_scale} MASE cell(s) skipped: constant training block, no scale",
+                      stacklevel=2)
     _add_skill_rows(report, cfg, h, obs)
     out_dir = cfg.resolve(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -526,22 +516,24 @@ def run_score(cfg: ExperimentConfig, quiet: bool = False) -> ScoreReport:
     return report
 
 
-def _mean_skill(report: ScoreReport, metric: str, level: str, method: str,
+def _mean_skill(cells: dict, metric: str, level: str, method: str,
                 baseline: str, series_ids, horizons) -> float:
-    """Per-series, per-horizon skill averaged over horizons then series."""
+    """Per-series, per-horizon skill averaged over horizons then series.
+
+    `cells` maps (series, level, horizon, metric, method) to a score value;
+    a cell missing for the method or the baseline is skipped.
+    """
     per_series = []
     undefined = 0
     for sid in series_ids:
         per_h = []
         for hz in horizons:
-            b = report.values(series=sid, level=level, horizon=hz, metric=metric,
-                              method=baseline)
-            m = report.values(series=sid, level=level, horizon=hz, metric=metric,
-                              method=method)
-            if not b or not m:
+            b = cells.get((sid, level, hz, metric, baseline))
+            m = cells.get((sid, level, hz, metric, method))
+            if b is None or m is None:
                 continue
             try:
-                per_h.append(scoring.skill_score(b[0], m[0]))
+                per_h.append(scoring.skill_score(b, m))
             except UndefinedSkill:
                 per_h.append(0.0)
                 undefined += 1
@@ -562,19 +554,20 @@ def _add_skill_rows(report: ScoreReport, cfg: ExperimentConfig, h: Hierarchy, ob
     if baseline not in cfg.methods or not methods:
         return
     series_ids = sorted(obs)
-    level_names = [name for name, _, _ in h.level_sizes]
+    cells = {(r["series"], r["level"], r["horizon"], r["metric"], r["method"]): r["value"]
+             for r in report.rows}
     for method in methods:
         for metric in ("mase", "rps", "mis"):
             level_skills = []
             for level_name, count, _ in h.level_sizes:
                 horizons = ["all"] if metric == "mase" else list(range(1, count + 1))
-                val = _mean_skill(report, metric, level_name, method, baseline,
+                val = _mean_skill(cells, metric, level_name, method, baseline,
                                   series_ids, horizons)
                 report.add_skill(metric, level_name, method, baseline, val)
                 level_skills.append(val)
             report.add_skill(metric, "average", method, baseline,
                              float(np.nanmean(level_skills)))
-        es = _mean_skill(report, "energy_score", "hierarchy", method, baseline,
+        es = _mean_skill(cells, "energy_score", "hierarchy", method, baseline,
                          series_ids, ["all"])
         report.add_skill("energy_score", "hierarchy", method, baseline, es)
 
@@ -628,9 +621,8 @@ def demo_minimal_table2(out_dir: Path, seed: int, quiet: bool) -> list[dict]:
     checks = []
     if not quiet:
         print("reconciled cell probabilities (bottom pair):")
-    cell_probs = {}
-    for atom, p in zip(joint.bottom_support, joint.probabilities):
-        cell_probs[tuple(atom)] = float(p)
+    cell_probs = {tuple(atom): float(p)
+                  for atom, p in zip(joint.bottom_support, joint.probabilities)}
     for cell, expected in _TABLE2_CELLS.items():
         got = cell_probs.get(cell, 0.0)
         if not quiet:

@@ -91,13 +91,6 @@ class Hierarchy:
         levels.append(("bottom", self.m, 1))
         return tuple(levels)
 
-    def node_level(self, index: int) -> str:
-        """Level name of the node at a 0-based index in node order."""
-        if index >= self.n_upper:
-            return "bottom"
-        k = int(self.a_matrix[index].sum())
-        return f"agg{k}"
-
     def to_dict(self) -> dict:
         return {
             "m": self.m,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .conditioning import SampledJoint
+from .conditioning import CountJoint
 from .distributions import GaussianForecast
 from .errors import DimensionError, MissingForecast, NumericalError
 from .hierarchy import Hierarchy
@@ -51,17 +51,22 @@ def build_w(h: Hierarchy, spec: CovarianceSpec) -> np.ndarray:
     return np.diag(v)
 
 
-def mint_g(h: Hierarchy, w: np.ndarray) -> np.ndarray:
-    """G = (S' W^-1 S)^-1 S' W^-1, shape (m, n); satisfies G S = I."""
+def _mint_solve(h: Hierarchy, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G and the gram matrix S' W^-1 S it was solved from."""
     s = h.s_matrix.astype(float)
     if w.shape != (h.n, h.n):
         raise DimensionError(f"W must be {h.n}x{h.n}, got {w.shape}")
     try:
         w_inv_s = np.linalg.solve(w, s)
         gram = s.T @ w_inv_s  # S' W^-1 S, (m, m)
-        return np.linalg.solve(gram, w_inv_s.T)
+        return np.linalg.solve(gram, w_inv_s.T), gram
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular system in minT solve: {exc}") from exc
+
+
+def mint_g(h: Hierarchy, w: np.ndarray) -> np.ndarray:
+    """G = (S' W^-1 S)^-1 S' W^-1, shape (m, n); satisfies G S = I."""
+    return _mint_solve(h, w)[0]
 
 
 @dataclass
@@ -73,10 +78,17 @@ class GaussianReconciled:
     bottom_mean: np.ndarray  # (m,)
     bottom_cov: np.ndarray  # (m, m)
 
-    def sample_bottom(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Real-valued bottom draws from the reconciled distribution."""
         return rng.multivariate_normal(self.bottom_mean, self.bottom_cov, size=n,
                                        method="eigh")
+
+    def to_dict(self) -> dict:
+        return {name: array.tolist() for name, array in vars(self).items()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "GaussianReconciled":
+        return cls(**{k: np.asarray(v, dtype=float) for k, v in d.items()})
 
 
 def _base_arrays(h: Hierarchy, base) -> tuple[np.ndarray, np.ndarray]:
@@ -104,12 +116,11 @@ def reconcile_gaussian(
     y_hat, base_var = _base_arrays(h, base)
     if isinstance(spec, HierarchyVariance) and spec.variances is None:
         spec = HierarchyVariance(base_var)
-    w = build_w(h, spec)
-    g = mint_g(h, w)
+    g, gram = _mint_solve(h, build_w(h, spec))
     s = h.s_matrix.astype(float)
     bottom_mean = g @ y_hat
     try:
-        bottom_cov = np.linalg.inv(s.T @ np.linalg.solve(w, s))
+        bottom_cov = np.linalg.inv(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular system in minT covariance: {exc}") from exc
     bottom_cov = (bottom_cov + bottom_cov.T) / 2
@@ -127,7 +138,7 @@ def reconcile_truncated(
     spec: CovarianceSpec = HierarchyVariance(),
     n_samples: int = 1000,
     seed: int | np.random.Generator = 0,
-) -> SampledJoint:
+) -> CountJoint:
     """Non-negative count samples from the truncated Gaussian reconciliation.
 
     Runs reconcile_gaussian, then draws each bottom node independently from
@@ -149,4 +160,4 @@ def reconcile_truncated(
         a = (0.0 - mu) / sd
         x = stats.truncnorm.rvs(a, np.inf, loc=mu, scale=sd, size=n_samples, random_state=rng)
         draws[:, j] = np.maximum(np.rint(x).astype(np.int64), 0)
-    return SampledJoint(draws, seed=seed if isinstance(seed, int) else None)
+    return CountJoint.from_draws(draws)

@@ -130,27 +130,12 @@ class ScoreReport:
     _SKILL_COLUMNS = ("metric", "level", "method", "baseline", "skill")
 
     def add(self, series, level, horizon, metric, method, value):
-        self.rows.append(
-            {
-                "series": series,
-                "level": level,
-                "horizon": horizon,
-                "metric": metric,
-                "method": method,
-                "value": float(value),
-            }
-        )
+        self.rows.append(dict(zip(self._COLUMNS,
+                                  (series, level, horizon, metric, method, float(value)))))
 
     def add_skill(self, metric, level, method, baseline, skill):
-        self.skill_rows.append(
-            {
-                "metric": metric,
-                "level": level,
-                "method": method,
-                "baseline": baseline,
-                "skill": float(skill),
-            }
-        )
+        self.skill_rows.append(dict(zip(self._SKILL_COLUMNS,
+                                        (metric, level, method, baseline, float(skill)))))
 
     def values(self, **filters) -> list[float]:
         out = []

@@ -60,6 +60,17 @@ def test_missing_forecast_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_observation_gap_exit_code(tmp_path, capsys):
+    (tmp_path / "obs.csv").write_text(
+        "series_id,t,value\n" + "".join(f"s1,{t},1\n" for t in (0, 1, 5, 5)))
+    cfg = write_config(tmp_path / "cfg.json",
+                       hierarchy={"bottom_period_count": 2, "factors": [2]},
+                       method="normal", output_dir="out")
+    assert main(["reconcile", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'s1'" in err and "t=5" in err
+
+
 def test_demo_command(tmp_path, capsys):
     assert main(["demo", "minimal_table2", "--out", str(tmp_path / "d"), "--quiet"]) == 0
     assert (tmp_path / "d" / "checks.json").exists()

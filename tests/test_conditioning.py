@@ -7,6 +7,7 @@ import pytest
 
 from reconc.conditioning import (
     BaseForecastSet,
+    CountJoint,
     bottom_up_exact,
     condition_on_upper,
     correlation,
@@ -275,11 +276,40 @@ def test_interval_coverage_property():
 
 
 def test_summaries_of_sampled_joint():
-    from reconc.conditioning import SampledJoint
-
     draws = np.array([[0, 1], [1, 1], [1, 2], [0, 1]])
-    summaries = summarize(SampledJoint(draws), MINIMAL)
+    summaries = summarize(CountJoint.from_draws(draws), MINIMAL)
     assert summaries["b1"].mean == pytest.approx(0.5)
     assert summaries["agg2_1"].mean == pytest.approx(np.mean([1, 2, 3, 1]))
     for s in summaries.values():
         assert float(np.sum(s.pmf.probs)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_exact_joint_dict_round_trip():
+    joint = reconcile_exact(MINIMAL, poisson_249())
+    back = CountJoint.from_dict(joint.to_dict(MINIMAL.bottom_labels))
+    assert back.bottom_support.dtype == np.int64
+    assert np.array_equal(back.bottom_support, joint.bottom_support)
+    assert np.array_equal(back.probabilities, joint.probabilities)
+    assert back.diagnostics is None
+
+
+def test_sampler_joint_dict_round_trip():
+    from reconc.conditioning import reconcile_mcmc
+
+    joint = reconcile_mcmc(MINIMAL, poisson_249(), n_chains=2, n_samples=50, seed=3)
+    back = CountJoint.from_dict(joint.to_dict())
+    assert np.array_equal(back.bottom_support, joint.bottom_support)
+    assert np.array_equal(back.probabilities, joint.probabilities)
+    d, e = joint.diagnostics, back.diagnostics
+    assert np.array_equal(e.acceptance_rates, d.acceptance_rates)
+    assert np.array_equal(e.rhat, d.rhat, equal_nan=True)
+    assert (e.n_chains, e.n_kept, e.burn_in, e.thin) == (d.n_chains, d.n_kept, d.burn_in, d.thin)
+
+
+def test_draws_are_equal_weight_atoms_in_order():
+    draws = np.array([[0, 1], [1, 1], [0, 1]])
+    joint = CountJoint.from_draws(draws)
+    assert np.array_equal(joint.probabilities, np.full(3, 1 / 3))
+    assert np.array_equal(joint.draws, draws)
+    assert np.shares_memory(joint.draws, joint.bottom_support)
+    assert not joint.draws.flags.writeable

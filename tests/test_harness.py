@@ -1,5 +1,6 @@
 """Tests for the experiment harness: aggregation, pipelines, demos."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from helpers import MONTHLY, run_benchmark, write_config, write_synthetic_observations
 from reconc import harness
-from reconc.errors import MissingActuals, MissingForecast, SeriesTooShort
+from reconc.errors import MissingActuals, MissingForecast, ObservationGap, SeriesTooShort
 from reconc.hierarchy import build_temporal_hierarchy
 
 
@@ -57,6 +58,16 @@ def test_read_observations(tmp_path):
     assert obs["s2"].tolist() == [0]
     p.write_text("series_id,t,value\ns1,0,-2\n")
     with pytest.raises(ValueError):
+        harness.read_observations(p)
+
+
+def test_read_observations_rejects_gaps_and_repeats(tmp_path):
+    p = tmp_path / "obs.csv"
+    p.write_text("series_id,t,value\ns2,3,1\ns1,5,0\ns1,0,2\ns1,5,1\ns1,1,3\n")
+    with pytest.raises(ObservationGap, match=r"'s1' has t=5 after t=1"):
+        harness.read_observations(p)
+    p.write_text("series_id,t,value\ns1,0,2\ns1,1,3\ns1,1,4\n")
+    with pytest.raises(ObservationGap, match=r"'s1' has t=1 after t=1"):
         harness.read_observations(p)
 
 
@@ -172,6 +183,67 @@ def test_score_requires_full_test_window(tmp_path):
                              output_dir="scores", test_length=6)
     with pytest.raises(MissingActuals):
         harness.run_score(harness.load_config(score_cfg), quiet=True)
+
+
+def assert_same_fields(got, expected):
+    assert type(got) is type(expected)
+    for name, value in vars(expected).items():
+        other = getattr(got, name)
+        if dataclasses.is_dataclass(value):
+            assert_same_fields(other, value)
+        elif value is None:
+            assert other is None
+        else:
+            assert np.array_equal(other, value, equal_nan=True), name
+
+
+def test_written_artifacts_read_back_to_the_same_joint(tmp_path):
+    h_cfg = {"bottom_period_count": 2, "factors": [2]}
+    forecasts = {
+        "b1": {"dist": "poisson", "lambda": 2},
+        "b2": {"dist": "poisson", "lambda": 4},
+        "agg2_1": {"dist": "poisson", "lambda": 9},
+    }
+    (tmp_path / "fc.json").write_text(json.dumps(forecasts))
+    for method in ("probCount_exact", "probCount_mcmc", "truncated", "normal", "base"):
+        cfg = harness.load_config(write_config(
+            tmp_path / f"cfg_{method}.json", hierarchy=h_cfg, method=method,
+            forecasts="fc.json", output_dir=f"out_{method}"))
+        out = harness.run_reconcile(cfg, quiet=True)
+        record = json.loads((out / "summaries.json").read_text())["series"]
+        _, joint = harness.reconcile_series(cfg.hierarchy, method, forecasts, cfg.sampler,
+                                            cfg.scoring.alpha, cfg.sampler.seed)
+        back = harness._read_artifact(record, out)
+        if joint is None:
+            assert back is None
+            continue
+        assert_same_fields(back, joint)
+
+
+def test_score_skips_series_without_mase_scale(tmp_path):
+    obs = tmp_path / "obs.csv"
+    write_synthetic_observations(obs)
+    methods = {}
+    for method in ("normal", "base"):
+        cfg_path = write_config(tmp_path / f"cfg_{method}.json", method=method,
+                                output_dir=f"out_{method}")
+        methods[method] = str(harness.run_reconcile(harness.load_config(cfg_path), quiet=True))
+    score_cfg = harness.load_config(write_config(tmp_path / "score.json", methods=methods,
+                                                 output_dir="scores"))
+    before = harness.run_score(score_cfg, quiet=True).rows
+
+    # a series constant over its training block sorts last, so the energy-score
+    # draws of the other series come from the same random stream as before
+    with open(obs, "a") as fh:
+        fh.writelines(f"zconst,{t},1\n" for t in range(48))
+    for method in methods:
+        harness.run_reconcile(harness.load_config(tmp_path / f"cfg_{method}.json"), quiet=True)
+    with pytest.warns(UserWarning, match="12 MASE cell"):
+        report = harness.run_score(score_cfg, quiet=True)
+    assert not [r for r in report.rows if r["series"] == "zconst" and r["metric"] == "mase"]
+    assert [r for r in report.rows if r["series"] == "zconst"]
+    assert [r for r in report.rows if r["series"] != "zconst"] == before
+    assert all(np.isfinite(r["skill"]) for r in report.skill_rows)
 
 
 def test_benchmark_end_to_end(tmp_path):

@@ -7,6 +7,7 @@ from reconc.distributions import GaussianForecast
 from reconc.errors import DimensionError, MissingForecast
 from reconc.hierarchy import aggregate, build_temporal_hierarchy, is_coherent
 from reconc.mint import (
+    GaussianReconciled,
     HierarchyVariance,
     StructuralScaling,
     build_w,
@@ -132,10 +133,18 @@ def test_reconciled_properties():
     assert np.allclose(rec.covariance[1:, 1:], rec.bottom_cov, atol=1e-12)
 
 
+def test_gaussian_dict_round_trip():
+    base = [GaussianForecast(9, 9), GaussianForecast(2, 2), GaussianForecast(4, 4)]
+    rec = reconcile_gaussian(MINIMAL, base)
+    back = GaussianReconciled.from_dict(rec.to_dict())
+    for name in ("mean", "covariance", "bottom_mean", "bottom_cov"):
+        assert np.array_equal(getattr(back, name), getattr(rec, name))
+
+
 def test_sample_bottom_recovers_moments():
     base = [GaussianForecast(9, 9), GaussianForecast(2, 2), GaussianForecast(4, 4)]
     rec = reconcile_gaussian(MINIMAL, base)
-    draws = rec.sample_bottom(200_000, np.random.default_rng(0))
+    draws = rec.sample(200_000, np.random.default_rng(0))
     assert np.allclose(draws.mean(axis=0), rec.bottom_mean, atol=0.02)
     assert np.allclose(np.cov(draws.T), rec.bottom_cov, atol=0.05)
 
