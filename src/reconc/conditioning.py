@@ -11,6 +11,7 @@ count vectors.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import reduce
@@ -232,6 +233,61 @@ def _split_rhat(kept: np.ndarray) -> np.ndarray:
     return np.where(within == 0, np.where(between == 0, 1.0, np.inf), rhat)
 
 
+def _run_chain(rng: np.random.Generator, tables: tuple, start: list, start_upper: list,
+               burn_in: int, thin: int, out: np.ndarray) -> tuple[int, bool]:
+    """Run one Metropolis-Hastings chain; returns (accepted moves, reached).
+
+    The chain draws its coordinates, steps and log-uniforms from `rng` in
+    that order, then walks on plain Python lists. Every `thin`-th state after
+    `burn_in` goes to the next row of `out`. Moving b_j by `step` moves every
+    upper in column A[:, j] by `step` too (A is 0/1), so a chain that holds
+    positive target mass scores the move by that local log-target delta.
+    Until it reaches such a state, a chain accepts an in-range proposal iff
+    the full target there is positive.
+    """
+    caps, bottom_tables, upper_tables, columns = tables
+    col_tables = [[(i, upper_tables[i]) for i in col] for col in columns]
+
+    def full_log_target(b: list, v: list) -> float:
+        return (sum(table[x] for table, x in zip(bottom_tables, b))
+                + sum(table[x] for table, x in zip(upper_tables, v)))
+
+    total_iters = burn_in + len(out) * thin
+    coords = rng.integers(0, len(caps), size=total_iters).tolist()
+    steps = (rng.integers(0, 2, size=total_iters) * 2 - 1).tolist()
+    log_u = np.log(rng.random(total_iters)).tolist()
+    state, u = list(start), list(start_upper)
+    reached = math.isfinite(full_log_target(state, u))
+    accepted = kept = 0
+    next_keep = burn_in + thin - 1
+    for it, (j, step, lu) in enumerate(zip(coords, steps, log_u)):
+        new = state[j] + step
+        if 0 <= new <= caps[j]:
+            if reached:
+                table = bottom_tables[j]
+                delta = table[new] - table[new - step]
+                for i, table in col_tables[j]:
+                    v = u[i]
+                    delta += table[v + step] - table[v]
+                accept = lu < delta
+            else:
+                prop, prop_u = state.copy(), u.copy()
+                prop[j] = new
+                for i in columns[j]:
+                    prop_u[i] += step
+                accept = reached = math.isfinite(full_log_target(prop, prop_u))
+            if accept:
+                state[j] = new
+                for i in columns[j]:
+                    u[i] += step
+                accepted += 1
+        if it == next_keep:
+            out[kept] = state
+            kept += 1
+            next_keep += thin
+    return accepted, reached
+
+
 def reconcile_mcmc(
     h: Hierarchy,
     base: BaseForecastSet,
@@ -247,11 +303,14 @@ def reconcile_mcmc(
     pmfs and, for each present evidence, its mass at the implied aggregate.
     Proposals perturb one uniformly chosen coordinate by +-1 (symmetric, so
     no Hastings correction); proposals leaving the non-negative orthant have
-    zero target mass and are rejected. Chains start at the per-bottom
-    medians, run `burn_in` discarded iterations (default: half the sampling
-    phase) and then keep every `thin`-th state until `n_samples` draws per
-    chain are collected. Each chain owns a generator spawned from `seed`, so
-    the merged output is reproducible regardless of execution order.
+    zero target mass and are rejected. A move of b_j is scored by its local
+    log-target delta: the change in the log pmf of b_j plus the change in the
+    evidence log pmf of each upper node in column A[:, j]. Chains start at
+    the per-bottom medians, run `burn_in` discarded iterations (default: half
+    the sampling phase) and then keep every `thin`-th state until
+    `n_samples` draws per chain are collected. Chains run one after another,
+    each from its own generator spawned from `seed`, so every chain's draws
+    depend only on `seed` and its index.
 
     Raises:
         SamplerStuck: a chain never reached a state with positive target
@@ -269,57 +328,20 @@ def reconcile_mcmc(
     if burn_in is None:
         burn_in = (n_samples * thin) // 2
     caps, bottom_tables, upper_tables = _mcmc_tables(h, base)
-    coord_idx = np.arange(h.m)
-    upper_idx = np.arange(h.n_upper)
-
-    def log_target(states: np.ndarray) -> np.ndarray:
-        lp = bottom_tables[coord_idx[None, :], states].sum(axis=1)
-        u = states @ h.a_matrix.T
-        lp = lp + upper_tables[upper_idx[None, :], u].sum(axis=1)
-        return lp
-
-    total_iters = burn_in + n_samples * thin
-    start = np.array([min(pmf.median(), cap) for pmf, cap in zip(base.bottom, caps)],
-                     dtype=np.int64)
-    state = np.tile(start, (n_chains, 1))
-    lp = log_target(state)
-    reached = np.isfinite(lp)
-
-    # per-chain generators, pre-drawn in blocks and consumed in lock-step
-    children = np.random.SeedSequence(seed).spawn(n_chains)
-    coords = np.empty((n_chains, total_iters), dtype=np.int64)
-    steps = np.empty((n_chains, total_iters), dtype=np.int64)
-    log_u = np.empty((n_chains, total_iters))
-    for c, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        coords[c] = rng.integers(0, h.m, size=total_iters)
-        steps[c] = rng.integers(0, 2, size=total_iters) * 2 - 1
-        log_u[c] = np.log(rng.random(total_iters))
+    tables = (caps.tolist(), bottom_tables.tolist(), upper_tables.tolist(),
+              [np.flatnonzero(col).tolist() for col in h.a_matrix.T])
+    start = [min(pmf.median(), cap) for pmf, cap in zip(base.bottom, tables[0])]
+    start_upper = (h.a_matrix @ start).tolist()
 
     kept = np.empty((n_chains, n_samples, h.m), dtype=np.int64)
     accepted = np.zeros(n_chains, dtype=np.int64)
-    chain_rows = np.arange(n_chains)
-    kept_count = 0
-    for it in range(total_iters):
-        j = coords[:, it]
-        old = state[chain_rows, j]
-        new = old + steps[:, it]
-        inside = (new >= 0) & (new <= caps[j])
-        prop = state.copy()
-        prop[chain_rows, j] = np.where(inside, new, old)
-        lp_new = np.where(inside, log_target(prop), -np.inf)
-        with np.errstate(invalid="ignore"):  # -inf minus -inf stays a rejection
-            accept = log_u[:, it] < lp_new - lp
-        state[accept] = prop[accept]
-        lp[accept] = lp_new[accept]
-        accepted += accept
-        reached |= np.isfinite(lp)
-        if it >= burn_in and (it - burn_in) % thin == thin - 1:
-            kept[:, kept_count] = state
-            kept_count += 1
-
-    if not reached.all():
-        stuck = np.where(~reached)[0].tolist()
+    stuck = []
+    for c, child in enumerate(np.random.SeedSequence(seed).spawn(n_chains)):
+        accepted[c], reached = _run_chain(np.random.default_rng(child), tables, start,
+                                          start_upper, burn_in, thin, kept[c])
+        if not reached:
+            stuck.append(c)
+    if stuck:
         raise SamplerStuck(f"chains {stuck} never reached positive target probability")
 
     rhat = _split_rhat(kept)
@@ -331,7 +353,7 @@ def reconcile_mcmc(
             stacklevel=2,
         )
     diag = SamplerDiagnostics(
-        acceptance_rates=accepted / total_iters,
+        acceptance_rates=accepted / (burn_in + n_samples * thin),
         rhat=rhat,
         n_chains=n_chains,
         n_kept=n_chains * n_samples,

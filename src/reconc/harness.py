@@ -37,6 +37,7 @@ from .distributions import (
 from .errors import (
     MissingActuals,
     MissingForecast,
+    MissingJoint,
     ObservationGap,
     SeriesTooShort,
     UndefinedScale,
@@ -417,6 +418,8 @@ def _joint_batches(h: Hierarchy, record: dict, method_dir: Path, sid: str, n_per
     """
     joint = _read_artifact(record, method_dir)
     if joint is None:
+        if record["method"] != "base":
+            raise MissingJoint(f"series {sid!r} of method {record['method']!r} stores no joint")
         # base method: independent per-node draws, incoherent by construction
         def draw_batch():
             cols = []
@@ -611,6 +614,16 @@ def _print_checks(checks: list, quiet: bool):
         print(f"  [{status}] {c['check']}: {c['detail']}")
 
 
+def _write_demo_record(out_dir: Path, h: Hierarchy, joint: CountJoint,
+                       summaries: dict[str, MarginalSummary]):
+    """Store an exact joint as series "series" of a probCount_exact output dir."""
+    record = {"method": "probCount_exact", "alpha": 0.1,
+              "nodes": {k: s.to_dict() for k, s in summaries.items()},
+              **_write_artifact(out_dir, h, "probCount_exact", "series", joint)}
+    (out_dir / "summaries.json").write_text(
+        json.dumps({"series": record}, indent=1, sort_keys=True))
+
+
 def demo_minimal_table2(out_dir: Path, seed: int, quiet: bool) -> list[dict]:
     h = build_temporal_hierarchy(2, [2])
     base = BaseForecastSet(
@@ -633,7 +646,7 @@ def demo_minimal_table2(out_dir: Path, seed: int, quiet: bool) -> list[dict]:
     for k, expected in _TABLE2_TOP.items():
         _check(checks, f"aggregate mass at {k}", abs(float(top.pmf(k)) - expected) < 1e-10,
                f"{float(top.pmf(k)):.12f} vs {expected:.12f} (tol 1e-10)")
-    (out_dir / "joint_series.json").write_text(json.dumps(joint.to_dict(h.bottom_labels)))
+    _write_artifact(out_dir, h, "probCount_exact", "series", joint)
     return checks
 
 
@@ -680,9 +693,7 @@ def demo_poisson_table3(out_dir: Path, seed: int, quiet: bool) -> list[dict]:
            "conditioning adds information at every node")
 
     _write_samples_csv(out_dir / "samples_series.csv", mcmc_joint.draws, h.bottom_labels)
-    summaries = {"series": {"method": "probCount_exact", "alpha": 0.1,
-                            "nodes": {k: s.to_dict() for k, s in exact.items()}}}
-    (out_dir / "summaries.json").write_text(json.dumps(summaries, indent=1, sort_keys=True))
+    _write_demo_record(out_dir, h, exact_joint, exact)
     return checks
 
 
@@ -694,7 +705,8 @@ def demo_hierarchy421(out_dir: Path, seed: int, quiet: bool) -> list[dict]:
         bottom=[Poisson(rates[l]) for l in h.bottom_labels],
         upper=[Poisson(rates[l]) for l in h.upper_labels],
     )
-    exact = summarize(conditioning.reconcile_exact(h, base), h)
+    exact_joint = conditioning.reconcile_exact(h, base)
+    exact = summarize(exact_joint, h)
     mc = summarize(conditioning.reconcile_mcmc(h, base, n_chains=4, n_samples=10_000,
                                                seed=seed), h)
     checks = []
@@ -716,9 +728,7 @@ def demo_hierarchy421(out_dir: Path, seed: int, quiet: bool) -> list[dict]:
            bool(np.allclose(rec.mean, means, atol=1e-8)),
            f"max deviation {np.abs(rec.mean - means).max():.2e} (tol 1e-8)")
 
-    summaries = {"series": {"method": "probCount_exact", "alpha": 0.1,
-                            "nodes": {k: s.to_dict() for k, s in exact.items()}}}
-    (out_dir / "summaries.json").write_text(json.dumps(summaries, indent=1, sort_keys=True))
+    _write_demo_record(out_dir, h, exact_joint, exact)
     return checks
 
 

@@ -8,7 +8,7 @@ and a full vector y = [u; b] is coherent when u = A b.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,10 +24,12 @@ class Hierarchy:
             the bottom nodes summed into upper node i.
         node_labels: n distinct labels, upper nodes first (matching the rows
             of a_matrix), then the m bottom nodes.
+        s_matrix: read-only summing matrix [A; I_m], shape (n, m), built once.
     """
 
     a_matrix: np.ndarray
     node_labels: tuple[str, ...]
+    s_matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.a_matrix, dtype=np.int64)
@@ -45,6 +47,9 @@ class Hierarchy:
             )
         if len(set(self.node_labels)) != len(self.node_labels):
             raise DimensionError("node labels must be distinct")
+        s = np.vstack([a, np.eye(a.shape[1], dtype=np.int64)])
+        s.flags.writeable = False
+        object.__setattr__(self, "s_matrix", s)
 
     @property
     def m(self) -> int:
@@ -57,11 +62,6 @@ class Hierarchy:
     @property
     def n_upper(self) -> int:
         return self.a_matrix.shape[0]
-
-    @property
-    def s_matrix(self) -> np.ndarray:
-        """Summing matrix [A; I_m], shape (n, m)."""
-        return np.vstack([self.a_matrix, np.eye(self.m, dtype=np.int64)])
 
     @property
     def upper_labels(self) -> tuple[str, ...]:

@@ -8,8 +8,15 @@ import pytest
 
 from helpers import MONTHLY, run_benchmark, write_config, write_synthetic_observations
 from reconc import harness
-from reconc.errors import MissingActuals, MissingForecast, ObservationGap, SeriesTooShort
-from reconc.hierarchy import build_temporal_hierarchy
+from reconc.errors import (
+    MissingActuals,
+    MissingForecast,
+    MissingJoint,
+    ObservationGap,
+    SeriesTooShort,
+)
+from reconc.hierarchy import aggregate, build_temporal_hierarchy
+from reconc.scoring import energy_score
 
 
 def test_temporal_aggregate_quarterly_example():
@@ -292,6 +299,42 @@ def test_demo_poisson_table3_known_defects(tmp_path):
     checks = json.loads((tmp_path / "d" / "checks.json").read_text())
     failed = {c["check"] for c in checks if not c["passed"]}
     assert failed == {"published var b2", "published mean agg2_1"}
+
+
+def _demo_score_config(tmp_path, demo_dir):
+    """Score config for a demo's one two-bottom series, named "series"."""
+    rows = "".join(f"series,{t},{v}\n" for t, v in enumerate([1, 3, 2, 5, 3, 6]))
+    (tmp_path / "obs.csv").write_text("series_id,t,value\n" + rows)
+    return write_config(tmp_path / "score.json",
+                        hierarchy={"bottom_period_count": 2, "factors": [2]},
+                        methods={"probCount_exact": str(demo_dir)}, output_dir="scores")
+
+
+def test_score_demo_dir_uses_the_stored_exact_joint(tmp_path):
+    harness.demo("poisson_table3", out_dir=tmp_path / "d", seed=0, quiet=True)
+    cfg = harness.load_config(_demo_score_config(tmp_path, tmp_path / "d"))
+    report = harness.run_score(cfg, quiet=True)
+    es = [r["value"] for r in report.rows if r["metric"] == "energy_score"]
+
+    record = json.loads((tmp_path / "d" / "summaries.json").read_text())["series"]
+    joint = harness._read_artifact(record, tmp_path / "d")
+    rng = np.random.default_rng(cfg.scoring.seed)
+    s_t = cfg.hierarchy.s_matrix.T
+    n = cfg.scoring.es_batch
+    batches = [joint.sample(n, rng) @ s_t for _ in range(2)]
+    y = aggregate(cfg.hierarchy, np.array([3, 6]))
+    assert es == [energy_score(*batches, y, alpha_exp=2.0)]
+
+
+def test_score_refuses_a_record_without_its_joint(tmp_path):
+    harness.demo("poisson_table3", out_dir=tmp_path / "d", seed=0, quiet=True)
+    summaries_path = tmp_path / "d" / "summaries.json"
+    summaries = json.loads(summaries_path.read_text())
+    del summaries["series"]["joint_file"]
+    summaries_path.write_text(json.dumps(summaries))
+    with pytest.raises(MissingJoint):
+        harness.run_score(harness.load_config(_demo_score_config(tmp_path, tmp_path / "d")),
+                          quiet=True)
 
 
 def test_demo_unknown_name():

@@ -10,9 +10,10 @@ from reconc.conditioning import (
     reconcile_mcmc,
     summarize,
 )
-from reconc.distributions import Poisson, Tabulated
+from reconc.distributions import NegBinomial, Poisson, Tabulated
 from reconc.errors import ConvergenceWarning, SamplerStuck
-from reconc.hierarchy import build_temporal_hierarchy
+from reconc.hierarchy import Hierarchy, build_temporal_hierarchy
+from reference_mcmc import reference_mcmc
 
 MINIMAL = build_temporal_hierarchy(2, [2])
 
@@ -124,3 +125,48 @@ def test_short_runs_do_not_crash():
     joint = reconcile_mcmc(MINIMAL, poisson_249(), n_chains=2, n_samples=1, seed=0)
     assert joint.draws.shape == (2, 2)
     assert np.isnan(joint.diagnostics.rhat).all()
+
+
+ORACLE_CASES = {
+    "poisson_249": (MINIMAL, poisson_249()),
+    "table2": (MINIMAL, BaseForecastSet(
+        [Tabulated(np.array([0.5, 0.5])), Tabulated(np.array([0.5, 0.5]))],
+        [Tabulated(np.array([0.5, 0.2, 0.3]))])),
+    "point_mass": (MINIMAL, BaseForecastSet(
+        [Tabulated(np.array([0.0, 0.0, 1.0])), Tabulated(np.array([0.0, 1.0]))],
+        [Tabulated(np.array([0.0, 0.0, 0.0, 1.0]))])),
+    "h421_one_absent": (build_temporal_hierarchy(4, [2, 4]), BaseForecastSet(
+        [Poisson(1.0), Poisson(2.0), Poisson(0.5), Poisson(3.0)],
+        [Poisson(8.0), None, Poisson(3.0)])),
+    "non_temporal_json": (Hierarchy.from_json('{"A": [[1, 1, 0], [0, 1, 1], [1, 1, 1]]}'),
+                          BaseForecastSet(
+        [Poisson(1.5), NegBinomial(2.0, 0.4), Poisson(0.8)],
+        [Poisson(5.0), Poisson(3.5), Poisson(6.0)])),
+    # bottom medians (1, 1) sum to 2, where the evidence has no mass
+    "unreached_start": (MINIMAL, BaseForecastSet(
+        [Tabulated(np.array([0.1, 0.8, 0.1])), Tabulated(np.array([0.1, 0.8, 0.1]))],
+        [Tabulated(np.array([0.0, 0.0, 0.0, 0.6, 0.4]))])),
+}
+
+
+@pytest.mark.filterwarnings("ignore::reconc.errors.ConvergenceWarning")  # short chains
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_draws_equal_lockstep_reference(case):
+    h, base = ORACLE_CASES[case]
+    settings = dict(n_chains=3, n_samples=200, burn_in=150, seed=11, thin=2)
+    joint = reconcile_mcmc(h, base, **settings)
+    draws, acceptance, rhat, reached = reference_mcmc(h, base, **settings)
+    assert reached.all()
+    assert np.array_equal(joint.draws, draws)
+    assert np.array_equal(joint.diagnostics.acceptance_rates, acceptance)
+    assert np.array_equal(joint.diagnostics.rhat, rhat, equal_nan=True)
+
+
+def test_unreached_start_finds_the_target():
+    # medians (1, 1) sum to 2; the evidence puts all its mass on 3
+    base = BaseForecastSet(
+        [Tabulated(np.array([0.1, 0.8, 0.1])), Tabulated(np.array([0.3, 0.7]))],
+        [Tabulated(np.array([0.0, 0.0, 0.0, 1.0]))],
+    )
+    joint = reconcile_mcmc(MINIMAL, base, n_chains=4, n_samples=500, seed=0)
+    assert (joint.draws.sum(axis=1) == 3).all()
