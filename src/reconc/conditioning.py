@@ -109,20 +109,6 @@ class CountJoint:
         idx = rng.choice(len(p), size=n, p=p)
         return self.bottom_support[idx]
 
-    def to_dict(self, labels=None) -> dict:
-        d = {"atoms": self.bottom_support.tolist(), "probs": self.probabilities.tolist()}
-        if labels is not None:
-            d["labels"] = list(labels)
-        if self.diagnostics is not None:
-            d["diagnostics"] = self.diagnostics.to_dict()
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CountJoint":
-        diagnostics = SamplerDiagnostics.from_dict(d["diagnostics"]) if "diagnostics" in d else None
-        return cls(np.asarray(d["atoms"], dtype=np.int64), np.asarray(d["probs"], dtype=float),
-                   diagnostics)
-
 
 def bottom_up_exact(
     h: Hierarchy,

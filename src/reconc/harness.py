@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,8 @@ from .distributions import (
     gaussian_from_dict,
 )
 from .errors import (
+    DuplicateLevel,
+    InvalidAggregation,
     MissingActuals,
     MissingForecast,
     MissingJoint,
@@ -111,6 +113,9 @@ def load_config(path) -> ExperimentConfig:
     """
     path = Path(path)
     raw = json.loads(path.read_text())
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)} - {"base_dir"}
+    if unknown:
+        raise ValueError(f"unknown config key(s) {sorted(unknown)}")
     base_dir = path.parent
     h = _hierarchy_from_config(raw["hierarchy"], base_dir)
 
@@ -191,7 +196,19 @@ def temporal_aggregate(values, h: Hierarchy) -> dict[str, np.ndarray]:
 
     Blocks are aligned so the final block ends at the last observation; any
     remainder is trimmed from the front of the series.
+
+    Raises:
+        InvalidAggregation: h is not the temporal hierarchy of its own level
+            factors, so its upper nodes are not such blocks.
     """
+    factors = [factor for _, _, factor in h.level_sizes[:-1]]
+    try:
+        temporal = build_temporal_hierarchy(h.m, factors).a_matrix
+    except (InvalidAggregation, DuplicateLevel):
+        temporal = None
+    if temporal is None or not np.array_equal(h.a_matrix, temporal):
+        raise InvalidAggregation("the hierarchy is not temporal: its upper nodes are not "
+                                 f"aligned blocks of consecutive periods (factors {factors})")
     values = np.asarray(values, dtype=np.int64)
     out = {}
     for name, _, factor in h.level_sizes:
@@ -274,7 +291,8 @@ def _write_samples_csv(path, draws: np.ndarray, labels):
 def _write_artifact(out_dir: Path, h: Hierarchy, method: str, sid: str, joint) -> dict:
     """Write one series' reconciled joint; returns the record keys that locate it.
 
-    Sampler draws go to a CSV, one equal-weight atom per row in draw order.
+    Sampler draws go to a CSV, one equal-weight atom per row in draw order;
+    any other joint goes to a compressed .npz holding its arrays by field name.
     """
     if method == "base":
         return {}
@@ -285,12 +303,8 @@ def _write_artifact(out_dir: Path, h: Hierarchy, method: str, sid: str, joint) -
         if joint.diagnostics is not None:
             keys["diagnostics"] = joint.diagnostics.to_dict()
         return keys
-    # encode here so that the to_dict lists are freed before write_text copies the text
-    if method == "probCount_exact":
-        fname, text = f"joint_{sid}.json", json.dumps(joint.to_dict(h.bottom_labels))
-    else:
-        fname, text = f"gaussian_{sid}.json", json.dumps(joint.to_dict())
-    (out_dir / fname).write_text(text)
+    fname = f"joint_{sid}.npz"
+    np.savez_compressed(out_dir / fname, **{k: v for k, v in vars(joint).items() if v is not None})
     return {"joint_file": fname}
 
 
@@ -304,9 +318,9 @@ def _read_artifact(record: dict, method_dir: Path):
             draws, SamplerDiagnostics.from_dict(diagnostics) if diagnostics is not None else None)
     if "joint_file" not in record:
         return None
-    data = json.loads((method_dir / record["joint_file"]).read_text())
     joint_type = CountJoint if record["method"] == "probCount_exact" else mint.GaussianReconciled
-    return joint_type.from_dict(data)
+    with np.load(method_dir / record["joint_file"]) as arrays:
+        return joint_type(**arrays)
 
 
 def reconcile_series(h: Hierarchy, method: str, entries: dict[str, dict],
@@ -589,17 +603,17 @@ def format_skill_table(report: ScoreReport) -> str:
 # ---------------------------------------------------------------------------
 # demos
 
-DEMO_NAMES = ("minimal_table2", "poisson_table3", "hierarchy421")
-
 # reference values for the two-bottom demo: uniform {0,1} bottoms conditioned
 # on aggregate pmf (.5, .2, .3) concentrate the four cells at these masses
-_TABLE2_CELLS = {(0, 0): 5 / 12, (0, 1): 1 / 6, (1, 0): 1 / 6, (1, 1): 1 / 4}
-_TABLE2_TOP = {0: 5 / 12, 1: 1 / 3, 2: 1 / 4}
+TABLE2_CELLS = {(0, 0): 5 / 12, (0, 1): 1 / 6, (1, 0): 1 / 6, (1, 1): 1 / 4}
+TABLE2_TOP = {0: 5 / 12, 1: 1 / 3, 2: 1 / 4}
 
 # published reconciliation results for rates (2, 4) with aggregate evidence
 # rate 9; sampled to one decimal, hence the loose comparison tolerance
-_TABLE3_MEANS = {"b1": 2.4, "b2": 4.8, "agg2_1": 7.2}
-_TABLE3_VARS = {"b1": 1.9, "b2": 3.0, "agg2_1": 3.6}
+TABLE3_PUBLISHED = {
+    "means": {"b1": 2.4, "b2": 4.8, "agg2_1": 7.2},
+    "vars": {"b1": 1.9, "b2": 3.0, "agg2_1": 3.6},
+}
 
 
 def _check(checks: list, name: str, ok: bool, detail: str):
@@ -636,17 +650,18 @@ def demo_minimal_table2(out_dir: Path, seed: int, quiet: bool) -> list[dict]:
         print("reconciled cell probabilities (bottom pair):")
     cell_probs = {tuple(atom): float(p)
                   for atom, p in zip(joint.bottom_support, joint.probabilities)}
-    for cell, expected in _TABLE2_CELLS.items():
+    for cell, expected in TABLE2_CELLS.items():
         got = cell_probs.get(cell, 0.0)
         if not quiet:
             print(f"  b={cell}: {got:.6f} (expected {expected:.6f})")
         _check(checks, f"cell {cell}", abs(got - expected) < 1e-10,
                f"{got:.12f} vs {expected:.12f} (tol 1e-10)")
-    top = summarize(joint, h, alpha=0.1)["agg2_1"].pmf
-    for k, expected in _TABLE2_TOP.items():
+    summaries = summarize(joint, h, alpha=0.1)
+    top = summaries["agg2_1"].pmf
+    for k, expected in TABLE2_TOP.items():
         _check(checks, f"aggregate mass at {k}", abs(float(top.pmf(k)) - expected) < 1e-10,
                f"{float(top.pmf(k)):.12f} vs {expected:.12f} (tol 1e-10)")
-    _write_artifact(out_dir, h, "probCount_exact", "series", joint)
+    _write_demo_record(out_dir, h, joint, summaries)
     return checks
 
 
@@ -673,13 +688,14 @@ def demo_poisson_table3(out_dir: Path, seed: int, quiet: bool) -> list[dict]:
                   f" {exact[label].variance - bu[label].variance:>7.3f}")
 
     checks = []
+    pub_mean, pub_var = TABLE3_PUBLISHED["means"], TABLE3_PUBLISHED["vars"]
     for label in ("b1", "b2", "agg2_1"):
         _check(checks, f"published mean {label}",
-               abs(exact[label].mean - _TABLE3_MEANS[label]) <= 0.1,
-               f"exact {exact[label].mean:.4f} vs published {_TABLE3_MEANS[label]} (tol 0.1)")
+               abs(exact[label].mean - pub_mean[label]) <= 0.1,
+               f"exact {exact[label].mean:.4f} vs published {pub_mean[label]} (tol 0.1)")
         _check(checks, f"published var {label}",
-               abs(exact[label].variance - _TABLE3_VARS[label]) <= 0.1,
-               f"exact {exact[label].variance:.4f} vs published {_TABLE3_VARS[label]} (tol 0.1)")
+               abs(exact[label].variance - pub_var[label]) <= 0.1,
+               f"exact {exact[label].variance:.4f} vs published {pub_var[label]} (tol 0.1)")
         _check(checks, f"mcmc mean {label}",
                abs(mc[label].mean - exact[label].mean) <= 0.1,
                f"mcmc {mc[label].mean:.4f} vs exact {exact[label].mean:.4f} (tol 0.1)")
@@ -732,9 +748,17 @@ def demo_hierarchy421(out_dir: Path, seed: int, quiet: bool) -> list[dict]:
     return checks
 
 
+DEMOS = {
+    "minimal_table2": demo_minimal_table2,
+    "poisson_table3": demo_poisson_table3,
+    "hierarchy421": demo_hierarchy421,
+}
+DEMO_NAMES = tuple(DEMOS)
+
+
 def demo(name: str, out_dir=None, seed: int | None = None, quiet: bool = False) -> bool:
     """Run a named demo; prints checks, writes files, returns overall pass."""
-    if name not in DEMO_NAMES:
+    if name not in DEMOS:
         raise ValueError(f"unknown demo {name!r}; expected one of {DEMO_NAMES}")
     if seed is None:
         seed = int(os.environ.get("RECONC_SEED", "0"))
@@ -742,12 +766,7 @@ def demo(name: str, out_dir=None, seed: int | None = None, quiet: bool = False) 
     out.mkdir(parents=True, exist_ok=True)
     if not quiet:
         print(f"demo {name} (seed {seed}) -> {out}")
-    runner = {
-        "minimal_table2": demo_minimal_table2,
-        "poisson_table3": demo_poisson_table3,
-        "hierarchy421": demo_hierarchy421,
-    }[name]
-    checks = runner(out, seed, quiet)
+    checks = DEMOS[name](out, seed, quiet)
     (out / "checks.json").write_text(json.dumps(checks, indent=1))
     _print_checks(checks, quiet)
     return all(c["passed"] for c in checks)

@@ -83,13 +83,6 @@ class GaussianReconciled:
         return rng.multivariate_normal(self.bottom_mean, self.bottom_cov, size=n,
                                        method="eigh")
 
-    def to_dict(self) -> dict:
-        return {name: array.tolist() for name, array in vars(self).items()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaussianReconciled":
-        return cls(**{k: np.asarray(v, dtype=float) for k, v in d.items()})
-
 
 def _base_arrays(h: Hierarchy, base) -> tuple[np.ndarray, np.ndarray]:
     if len(base) != h.n:

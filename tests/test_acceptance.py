@@ -30,6 +30,7 @@ from reconc.conditioning import (
 )
 from reconc.distributions import GaussianForecast, Poisson, Tabulated
 from reconc.errors import UndefinedSkill
+from reconc.harness import TABLE2_CELLS, TABLE3_PUBLISHED
 from reconc.hierarchy import build_temporal_hierarchy
 from reconc.mint import mint_g, reconcile_gaussian, HierarchyVariance
 from reconc.scoring import energy_score, mis, rps_discrete, skill_score
@@ -37,10 +38,6 @@ from reconc.scoring import energy_score, mis, rps_discrete, skill_score
 MINIMAL = build_temporal_hierarchy(2, [2])
 H421 = build_temporal_hierarchy(4, [2, 4])
 
-TABLE3_PUBLISHED = {
-    "means": {"b1": 2.4, "b2": 4.8, "agg2_1": 7.2},
-    "vars": {"b1": 1.9, "b2": 3.0, "agg2_1": 3.6},
-}
 GROUND_TRUTH = {  # 50-digit enumeration over supports 0..80
     "means": {"b1": 2.3646303986, "b2": 4.7292607972, "agg2_1": 7.0938911958},
     "vars": {"b1": 1.9849433438, "b2": 3.2105125780, "agg2_1": 3.6767077026},
@@ -64,8 +61,7 @@ def test_criterion_1_minimal_cells_exact():
     joint = reconcile_exact(MINIMAL, base)
     elapsed = time.monotonic() - start
     cells = {tuple(a): p for a, p in zip(joint.bottom_support, joint.probabilities)}
-    expected = {(0, 0): 5 / 12, (0, 1): 1 / 6, (1, 0): 1 / 6, (1, 1): 1 / 4}
-    worst = max(abs(cells[c] - v) for c, v in expected.items())
+    worst = max(abs(cells[c] - v) for c, v in TABLE2_CELLS.items())
     announce(1, worst < 1e-10 and elapsed < 1.0,
              f"cell probabilities within {worst:.2e} of (5/12, 1/6, 1/6, 1/4); "
              f"runtime {elapsed:.3f}s")

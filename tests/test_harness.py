@@ -9,6 +9,7 @@ import pytest
 from helpers import MONTHLY, run_benchmark, write_config, write_synthetic_observations
 from reconc import harness
 from reconc.errors import (
+    InvalidAggregation,
     MissingActuals,
     MissingForecast,
     MissingJoint,
@@ -100,6 +101,10 @@ def test_load_config_validations(tmp_path):
     with pytest.raises(ValueError, match="seed is mandatory"):
         harness.load_config(p)
 
+    p.write_text(json.dumps({"hierarchy": MONTHLY, "outptu_dir": "typo"}))
+    with pytest.raises(ValueError, match=r"unknown config key\(s\) \['outptu_dir'\]"):
+        harness.load_config(p)
+
 
 def test_env_seed_override(tmp_path, monkeypatch):
     p = tmp_path / "cfg.json"
@@ -121,6 +126,48 @@ def test_hierarchy_from_file(tmp_path):
     p.write_text(json.dumps({"hierarchy": {"a_matrix_file": "h.json"}}))
     cfg = harness.load_config(p)
     assert cfg.hierarchy.node_labels == h.node_labels
+
+
+def _file_hierarchy_configs(tmp_path, a_rows):
+    """Reconcile (normal, forecast file) and score configs over an A read from a file."""
+    (tmp_path / "h.json").write_text(json.dumps({"m": 4, "A": a_rows}))
+    h_cfg = {"a_matrix_file": "h.json"}
+    labels = [f"u{i + 1}" for i in range(len(a_rows))] + ["b1", "b2", "b3", "b4"]
+    (tmp_path / "fc.json").write_text(json.dumps(
+        {"s": {label: {"dist": "gaussian", "mean": 2.0, "var": 2.0} for label in labels}}))
+    rows = "".join(f"s,{t},{v}\n" for t, v in enumerate([1, 3, 2, 5, 3, 6, 0, 4, 4, 1, 2, 3]))
+    (tmp_path / "obs.csv").write_text("series_id,t,value\n" + rows)
+    rec_cfg = harness.load_config(write_config(
+        tmp_path / "rec.json", hierarchy=h_cfg, method="normal", forecasts="fc.json",
+        output_dir="out"))
+    score_cfg = harness.load_config(write_config(
+        tmp_path / "score.json", hierarchy=h_cfg, methods={"normal": "out"}, output_dir="scores"))
+    return rec_cfg, score_cfg
+
+
+@pytest.mark.parametrize("a_rows", [
+    [[0, 1, 1, 0], [1, 1, 1, 1]],  # row [0,1,1,0] would be scored by blocks [0:2], [2:4]
+    [[1, 1, 0, 0], [1, 1, 1, 1], [0, 0, 1, 1]],  # levels interleaved
+    [[1, 1, 1, 0]],  # a row sum that does not divide m
+])
+def test_time_blocks_refuse_a_non_temporal_hierarchy(tmp_path, a_rows):
+    rec_cfg, score_cfg = _file_hierarchy_configs(tmp_path, a_rows)
+    harness.run_reconcile(rec_cfg, quiet=True)  # minT needs no time blocks
+    with pytest.raises(InvalidAggregation, match="not temporal"):
+        harness.run_score(score_cfg, quiet=True)
+    builtin = dataclasses.replace(rec_cfg, forecasts=harness.BUILTIN_FORECASTER)
+    with pytest.raises(InvalidAggregation, match="not temporal"):
+        harness.run_reconcile(builtin, quiet=True)
+
+
+def test_time_blocks_of_a_temporal_hierarchy_from_file(tmp_path):
+    rec_cfg, score_cfg = _file_hierarchy_configs(
+        tmp_path, [[1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1]])
+    harness.run_reconcile(rec_cfg, quiet=True)
+    report = harness.run_score(score_cfg, quiet=True)
+    assert {r["level"] for r in report.rows} == {"agg4", "agg2", "bottom", "hierarchy"}
+    builtin = dataclasses.replace(rec_cfg, forecasts=harness.BUILTIN_FORECASTER)
+    harness.run_reconcile(builtin, quiet=True)
 
 
 def test_reconcile_outputs_from_forecast_file(tmp_path):
@@ -202,6 +249,7 @@ def assert_same_fields(got, expected):
             assert other is None
         else:
             assert np.array_equal(other, value, equal_nan=True), name
+            assert np.asarray(other).dtype == np.asarray(value).dtype, name
 
 
 def test_written_artifacts_read_back_to_the_same_joint(tmp_path):
@@ -225,6 +273,11 @@ def test_written_artifacts_read_back_to_the_same_joint(tmp_path):
             assert back is None
             continue
         assert_same_fields(back, joint)
+        if method in ("probCount_exact", "normal"):
+            assert record["joint_file"] == "joint_series.npz"
+            with np.load(out / record["joint_file"], allow_pickle=False) as arrays:
+                assert sorted(arrays.files) == sorted(
+                    k for k, v in vars(joint).items() if v is not None)
 
 
 def test_score_skips_series_without_mase_scale(tmp_path):
@@ -310,8 +363,8 @@ def _demo_score_config(tmp_path, demo_dir):
                         methods={"probCount_exact": str(demo_dir)}, output_dir="scores")
 
 
-def test_score_demo_dir_uses_the_stored_exact_joint(tmp_path):
-    harness.demo("poisson_table3", out_dir=tmp_path / "d", seed=0, quiet=True)
+def _assert_scored_from_stored_joint(tmp_path, name):
+    harness.demo(name, out_dir=tmp_path / "d", seed=0, quiet=True)
     cfg = harness.load_config(_demo_score_config(tmp_path, tmp_path / "d"))
     report = harness.run_score(cfg, quiet=True)
     es = [r["value"] for r in report.rows if r["metric"] == "energy_score"]
@@ -324,6 +377,14 @@ def test_score_demo_dir_uses_the_stored_exact_joint(tmp_path):
     batches = [joint.sample(n, rng) @ s_t for _ in range(2)]
     y = aggregate(cfg.hierarchy, np.array([3, 6]))
     assert es == [energy_score(*batches, y, alpha_exp=2.0)]
+
+
+def test_score_demo_dir_uses_the_stored_exact_joint(tmp_path):
+    _assert_scored_from_stored_joint(tmp_path, "poisson_table3")
+
+
+def test_minimal_demo_dir_is_scored_like_the_others(tmp_path):
+    _assert_scored_from_stored_joint(tmp_path, "minimal_table2")
 
 
 def test_score_refuses_a_record_without_its_joint(tmp_path):

@@ -7,7 +7,6 @@ from reconc.distributions import GaussianForecast
 from reconc.errors import DimensionError, MissingForecast
 from reconc.hierarchy import aggregate, build_temporal_hierarchy, is_coherent
 from reconc.mint import (
-    GaussianReconciled,
     HierarchyVariance,
     StructuralScaling,
     build_w,
@@ -131,14 +130,6 @@ def test_reconciled_properties():
     assert np.linalg.eigvalsh(rec.covariance).min() > -1e-8
     # the bottom block of the full covariance is the bottom covariance
     assert np.allclose(rec.covariance[1:, 1:], rec.bottom_cov, atol=1e-12)
-
-
-def test_gaussian_dict_round_trip():
-    base = [GaussianForecast(9, 9), GaussianForecast(2, 2), GaussianForecast(4, 4)]
-    rec = reconcile_gaussian(MINIMAL, base)
-    back = GaussianReconciled.from_dict(rec.to_dict())
-    for name in ("mean", "covariance", "bottom_mean", "bottom_cov"):
-        assert np.array_equal(getattr(back, name), getattr(rec, name))
 
 
 def test_sample_bottom_recovers_moments():
