@@ -128,7 +128,7 @@ def bottom_up_exact(
     """
     base.validate(h)
     sizes = [pmf.quantile_truncate(epsilon) + 1 for pmf in base.bottom]
-    n_cells = float(np.prod([float(s) for s in sizes]))
+    n_cells = math.prod(sizes)
     if n_cells > cell_cap:
         raise SupportTooLarge(
             f"product support has {n_cells:.3g} cells (cap {cell_cap}); "
@@ -136,8 +136,8 @@ def bottom_up_exact(
         )
     marginals = [pmf.pmf(np.arange(s)) for pmf, s in zip(base.bottom, sizes)]
     probs = reduce(np.multiply.outer, marginals).reshape(-1)
-    grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
-    support = np.stack([g.reshape(-1) for g in grids], axis=1).astype(np.int64)
+    # column-major view: np.savez_compressed writes it column by column, which deflates fast
+    support = np.indices(sizes, dtype=np.int64).reshape(h.m, -1).T
     return CountJoint(support, probs / probs.sum())
 
 
@@ -157,7 +157,7 @@ def condition_on_upper(
     if not 0 <= upper_index < h.n_upper:
         raise DimensionError(f"upper index {upper_index} out of range for {h.n_upper} uppers")
     u_values = joint.bottom_support @ h.a_matrix[upper_index]
-    weights = joint.probabilities * evidence.pmf(u_values)
+    weights = joint.probabilities * evidence.pmf(np.arange(u_values.max() + 1))[u_values]
     total = weights.sum()
     if total <= 0:
         raise IncompatibleEvidence(
@@ -299,6 +299,7 @@ def reconcile_mcmc(
     depend only on `seed` and its index.
 
     Raises:
+        ValueError: n_chains, n_samples or thin below 1, or burn_in below 0.
         SamplerStuck: a chain never reached a state with positive target
             probability.
 
@@ -307,12 +308,16 @@ def reconcile_mcmc(
             (non-fatal; also recorded in the diagnostics).
     """
     base.validate(h)
+    if n_chains < 1:
+        raise ValueError("n_chains must be >= 1")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if thin < 1:
         raise ValueError("thin must be >= 1")
     if burn_in is None:
         burn_in = (n_samples * thin) // 2
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
     caps, bottom_tables, upper_tables = _mcmc_tables(h, base)
     tables = (caps.tolist(), bottom_tables.tolist(), upper_tables.tolist(),
               [np.flatnonzero(col).tolist() for col in h.a_matrix.T])

@@ -42,7 +42,7 @@ class SamplerStuck(ReconcError):
 
 
 class UndefinedScale(ReconcError):
-    """MASE scale Q is zero (constant training series)."""
+    """MASE scale Q is zero or undefined (constant or single-block training level)."""
 
 
 class InvalidInterval(ReconcError):

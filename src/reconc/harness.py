@@ -121,6 +121,8 @@ def load_config(path) -> ExperimentConfig:
 
     sampler = SamplerSettings(**raw.get("sampler", {}))
     scoring_cfg = ScoringSettings(**raw.get("scoring", {}))
+    if not 0 < scoring_cfg.alpha < 1:
+        raise ValueError(f"scoring.alpha must be in (0, 1), got {scoring_cfg.alpha}")
     env_seed = os.environ.get("RECONC_SEED")
     if env_seed is not None:
         sampler.seed = int(env_seed)
@@ -281,13 +283,6 @@ def _gaussian_node_summary(mean: float, var: float, alpha: float) -> dict:
     }
 
 
-def _write_samples_csv(path, draws: np.ndarray, labels):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(labels)
-        writer.writerows(draws.tolist())
-
-
 def _write_artifact(out_dir: Path, h: Hierarchy, method: str, sid: str, joint) -> dict:
     """Write one series' reconciled joint; returns the record keys that locate it.
 
@@ -298,7 +293,10 @@ def _write_artifact(out_dir: Path, h: Hierarchy, method: str, sid: str, joint) -
         return {}
     if method in STOCHASTIC_METHODS:
         fname = f"samples_{sid}.csv"
-        _write_samples_csv(out_dir / fname, joint.draws, h.bottom_labels)
+        with open(out_dir / fname, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(h.bottom_labels)
+            writer.writerows(joint.draws.tolist())
         keys = {"samples_file": fname}
         if joint.diagnostics is not None:
             keys["diagnostics"] = joint.diagnostics.to_dict()
@@ -520,8 +518,8 @@ def run_score(cfg: ExperimentConfig, quiet: bool = False) -> ScoreReport:
                        scoring.energy_score(batch_a, batch_b, y_nodes, alpha_exp=2.0))
 
     if no_scale:
-        warnings.warn(f"{no_scale} MASE cell(s) skipped: constant training block, no scale",
-                      stacklevel=2)
+        warnings.warn(f"{no_scale} MASE cell(s) skipped: constant or single-block "
+                      "training level, no scale", stacklevel=2)
     _add_skill_rows(report, cfg, h, obs)
     out_dir = cfg.resolve(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -674,9 +672,8 @@ def demo_poisson_table3(out_dir: Path, seed: int, quiet: bool) -> list[dict]:
     bu = summarize(conditioning.bottom_up_exact(h, base), h)
     exact_joint = conditioning.reconcile_exact(h, base)
     exact = summarize(exact_joint, h)
-    mcmc_joint = conditioning.reconcile_mcmc(h, base, n_chains=4, n_samples=10_000,
-                                             seed=seed)
-    mc = summarize(mcmc_joint, h)
+    mc = summarize(conditioning.reconcile_mcmc(h, base, n_chains=4, n_samples=10_000,
+                                               seed=seed), h)
 
     if not quiet:
         print(f"{'node':>8} {'bu mean':>8} {'rec mean':>9} {'delta':>7}"
@@ -708,7 +705,6 @@ def demo_poisson_table3(out_dir: Path, seed: int, quiet: bool) -> list[dict]:
            all(exact[k].variance < bu[k].variance for k in ("b1", "b2", "agg2_1")),
            "conditioning adds information at every node")
 
-    _write_samples_csv(out_dir / "samples_series.csv", mcmc_joint.draws, h.bottom_labels)
     _write_demo_record(out_dir, h, exact_joint, exact)
     return checks
 

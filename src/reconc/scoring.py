@@ -27,7 +27,7 @@ def mase(actuals, point_forecasts, training_series) -> float:
     """Mean absolute error over the horizon, scaled by the naive in-sample MAE.
 
     The scale Q is the mean absolute first difference of the training
-    series; a constant training series has Q = 0 and no defined scale.
+    series; a constant or single-value training series has no defined scale.
     """
     y = np.asarray(actuals, dtype=float)
     f = np.asarray(point_forecasts, dtype=float)
@@ -35,7 +35,7 @@ def mase(actuals, point_forecasts, training_series) -> float:
     if y.shape != f.shape or y.size < 1:
         raise ValueError("actuals and forecasts must be equal-length and non-empty")
     if train.size < 2:
-        raise ValueError("training series must have at least 2 observations")
+        raise UndefinedScale("training series has fewer than 2 values: no first difference")
     q = np.abs(np.diff(train)).mean()
     if q == 0:
         raise UndefinedScale("constant training series: MASE scale Q is zero")

@@ -74,6 +74,45 @@ def test_cell_cap():
         bottom_up_exact(MINIMAL, base, cell_cap=100)
 
 
+def test_bottom_up_grid_rows_follow_product_order():
+    h = build_temporal_hierarchy(3, [3])
+    marginals = [np.array([0.5, 0.5]), np.array([0.25, 0.25, 0.5]),
+                 np.array([0.125, 0.125, 0.25, 0.5])]
+    joint = bottom_up_exact(h, BaseForecastSet([Tabulated(p) for p in marginals], [None]))
+    assert joint.bottom_support.dtype == np.int64
+    cells = list(itertools.product(range(2), range(3), range(4)))
+    assert joint.bottom_support.tolist() == [list(c) for c in cells]
+    expected = [marginals[0][i] * marginals[1][j] * marginals[2][k] for i, j, k in cells]
+    assert np.allclose(joint.probabilities, expected, rtol=1e-15, atol=0)
+
+
+def _per_atom_update(joint, h, upper_index, evidence):
+    """Evidence looked up atom by atom, then one normalization."""
+    lik = [evidence.pmf(int(atom @ h.a_matrix[upper_index])) for atom in joint.bottom_support]
+    weights = joint.probabilities * np.array(lik)
+    return weights / weights.sum()
+
+
+def test_evidence_shorter_than_the_reachable_sums():
+    joint = bottom_up_exact(MINIMAL, uniform_pair())
+    evidence = Tabulated(np.array([0.5, 0.5]))  # no mass at the reachable sum 2
+    updated = condition_on_upper(joint, MINIMAL, 0, evidence)
+    sums = updated.bottom_support.sum(axis=1)
+    assert (updated.probabilities[sums == 2] == 0).all()
+    assert np.array_equal(updated.probabilities, _per_atom_update(joint, MINIMAL, 0, evidence))
+
+
+def test_evidence_on_bottoms_pinned_at_zero():
+    zero = Tabulated(np.array([1.0]))
+    joint = bottom_up_exact(MINIMAL, BaseForecastSet([zero, zero], [None]))
+    for evidence in (Poisson(1.0), Tabulated(np.array([0.5, 0.5]))):
+        updated = condition_on_upper(joint, MINIMAL, 0, evidence)
+        assert updated.bottom_support.tolist() == [[0, 0]]
+        assert np.array_equal(updated.probabilities, [1.0])
+        assert np.array_equal(updated.probabilities,
+                              _per_atom_update(joint, MINIMAL, 0, evidence))
+
+
 def test_conditioning_reproduces_published_cells():
     joint = bottom_up_exact(MINIMAL, uniform_pair())
     updated = condition_on_upper(joint, MINIMAL, 0, Tabulated(np.array([0.5, 0.2, 0.3])))

@@ -105,6 +105,11 @@ def test_load_config_validations(tmp_path):
     with pytest.raises(ValueError, match=r"unknown config key\(s\) \['outptu_dir'\]"):
         harness.load_config(p)
 
+    for alpha in (0, 1, 1.5, -0.1):
+        p.write_text(json.dumps({"hierarchy": MONTHLY, "scoring": {"alpha": alpha}}))
+        with pytest.raises(ValueError, match=r"scoring.alpha must be in \(0, 1\)"):
+            harness.load_config(p)
+
 
 def test_env_seed_override(tmp_path, monkeypatch):
     p = tmp_path / "cfg.json"
@@ -280,7 +285,13 @@ def test_written_artifacts_read_back_to_the_same_joint(tmp_path):
                     k for k, v in vars(joint).items() if v is not None)
 
 
-def test_score_skips_series_without_mase_scale(tmp_path):
+def _score_with_extra_series(tmp_path, sid, values, n_skipped):
+    """Score the synthetic series, then again with series `sid` appended.
+
+    `sid` sorts last, so the energy-score draws of the other series come from
+    the same random stream as before and their rows must not change. Returns
+    the second report.
+    """
     obs = tmp_path / "obs.csv"
     write_synthetic_observations(obs)
     methods = {}
@@ -292,18 +303,34 @@ def test_score_skips_series_without_mase_scale(tmp_path):
                                                  output_dir="scores"))
     before = harness.run_score(score_cfg, quiet=True).rows
 
-    # a series constant over its training block sorts last, so the energy-score
-    # draws of the other series come from the same random stream as before
     with open(obs, "a") as fh:
-        fh.writelines(f"zconst,{t},1\n" for t in range(48))
+        fh.writelines(f"{sid},{t},{v}\n" for t, v in enumerate(values))
     for method in methods:
         harness.run_reconcile(harness.load_config(tmp_path / f"cfg_{method}.json"), quiet=True)
-    with pytest.warns(UserWarning, match="12 MASE cell"):
+    with pytest.warns(UserWarning, match=rf"^{n_skipped} MASE cell\(s\) skipped: "
+                                         "constant or single-block training level"):
         report = harness.run_score(score_cfg, quiet=True)
+    assert [r for r in report.rows if r["series"] != sid] == before
+    return report
+
+
+def test_score_skips_series_without_mase_scale(tmp_path):
+    report = _score_with_extra_series(tmp_path, "zconst", [1] * 48, n_skipped=12)
     assert not [r for r in report.rows if r["series"] == "zconst" and r["metric"] == "mase"]
     assert [r for r in report.rows if r["series"] == "zconst"]
-    assert [r for r in report.rows if r["series"] != "zconst"] == before
     assert all(np.isfinite(r["skill"]) for r in report.skill_rows)
+
+
+def test_short_training_window_loses_only_its_single_block_mase(tmp_path):
+    # 18 training periods: one agg12 block, several blocks at every other level
+    report = _score_with_extra_series(tmp_path, "zshort", [t % 5 for t in range(30)],
+                                      n_skipped=2)
+    levels = {name for name, _, _ in build_temporal_hierarchy(12, [2, 3, 4, 6, 12]).level_sizes}
+    for method in ("normal", "base"):
+        mase_levels = {r["level"] for r in report.rows
+                       if r["series"] == "zshort" and r["metric"] == "mase"
+                       and r["method"] == method}
+        assert mase_levels == levels - {"agg12"}
 
 
 def test_benchmark_end_to_end(tmp_path):

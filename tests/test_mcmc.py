@@ -101,6 +101,13 @@ def test_sampler_stuck_on_empty_target():
         reconcile_mcmc(MINIMAL, base, n_chains=2, n_samples=100, seed=0)
 
 
+@pytest.mark.parametrize("name, value", [("n_chains", 0), ("burn_in", -1), ("n_samples", 0),
+                                         ("thin", 0)])
+def test_refuses_settings_without_draws(name, value):
+    with pytest.raises(ValueError, match=name):
+        reconcile_mcmc(MINIMAL, poisson_249(), **{"n_samples": 10, "seed": 0, name: value})
+
+
 def test_split_rhat_detects_disagreeing_chains():
     rng = np.random.default_rng(0)
     mixed = rng.normal(size=(4, 1000, 1))

@@ -30,6 +30,8 @@ def test_mase_examples():
     assert mase([1], [0], [0, 1, 0, 1]) == pytest.approx(1.0)
     with pytest.raises(UndefinedScale):
         mase([1], [0], [3, 3, 3])
+    with pytest.raises(UndefinedScale):
+        mase([1], [0], [3])
 
 
 def test_rps_discrete_examples():
