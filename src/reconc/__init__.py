@@ -15,6 +15,7 @@ from .conditioning import (
     reconcile_exact,
     reconcile_mcmc,
     summarize,
+    trim_joint,
 )
 from .distributions import (
     CountPmf,
@@ -25,6 +26,7 @@ from .distributions import (
     fit_gaussian,
     fit_negbinomial,
 )
+from .errors import ConvergenceWarning, TruncationWarning
 from .hierarchy import Hierarchy, aggregate, build_temporal_hierarchy, is_coherent
 from .mint import (
     GaussianReconciled,
@@ -50,6 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BaseForecastSet",
     "CountJoint",
+    "ConvergenceWarning",
     "CountPmf",
     "GaussianForecast",
     "GaussianReconciled",
@@ -61,6 +64,7 @@ __all__ = [
     "ScoreReport",
     "StructuralScaling",
     "Tabulated",
+    "TruncationWarning",
     "aggregate",
     "bottom_up_exact",
     "build_temporal_hierarchy",
@@ -82,4 +86,5 @@ __all__ = [
     "rps_gaussian_cc",
     "skill_score",
     "summarize",
+    "trim_joint",
 ]

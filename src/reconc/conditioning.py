@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 
 import numpy as np
@@ -25,6 +25,7 @@ from .errors import (
     IncompatibleEvidence,
     SamplerStuck,
     SupportTooLarge,
+    TruncationWarning,
     UndefinedCorrelation,
 )
 from .hierarchy import Hierarchy
@@ -34,6 +35,12 @@ DEFAULT_CELL_CAP = 10**7
 
 #: per-bottom tail mass ignored by the MCMC lookup tables
 _MCMC_TAIL = 1e-15
+
+#: total probability that trim_joint may drop from an exact joint
+ATOM_TOL = 1e-12
+
+#: edge mass above which trim_joint warns that the grid cuts posterior mass
+EDGE_MASS_WARN = 1e-6
 
 
 @dataclass
@@ -78,17 +85,29 @@ class SamplerDiagnostics:
 
 
 @dataclass
+class TrimDiagnostics:
+    """Probability mass that trim_joint dropped, and mass at the grid's edge."""
+
+    dropped_mass: float
+    edge_mass: float
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+@dataclass
 class CountJoint:
     """Coherent joint pmf over bottom count vectors, held as weighted atoms.
 
-    Exact enumeration stores distinct atoms with their probabilities; a
+    Exact enumeration stores distinct atoms with their probabilities (the
+    full grid, or after trim_joint only the atoms that carry mass); a
     sampler stores its draws in draw order (chains concatenated), each an
     atom of weight 1/N. Upper values are implied by A @ b.
     """
 
     bottom_support: np.ndarray  # (n_atoms, m) non-negative ints
     probabilities: np.ndarray  # (n_atoms,) summing to 1
-    diagnostics: SamplerDiagnostics | None = None
+    diagnostics: SamplerDiagnostics | TrimDiagnostics | None = None
 
     @classmethod
     def from_draws(cls, draws: np.ndarray,
@@ -136,7 +155,8 @@ def bottom_up_exact(
         )
     marginals = [pmf.pmf(np.arange(s)) for pmf, s in zip(base.bottom, sizes)]
     probs = reduce(np.multiply.outer, marginals).reshape(-1)
-    # column-major view: np.savez_compressed writes it column by column, which deflates fast
+    # column-major view of the C-order index grid; a full grid written by
+    # np.savez_compressed (the demos) then deflates column by column, which is fast
     support = np.indices(sizes, dtype=np.int64).reshape(h.m, -1).T
     return CountJoint(support, probs / probs.sum())
 
@@ -182,6 +202,49 @@ def reconcile_exact(
         if evidence is not None:
             joint = condition_on_upper(joint, h, i, evidence)
     return joint
+
+
+def trim_joint(joint: CountJoint, bottom: list[CountPmf], tol: float = ATOM_TOL) -> CountJoint:
+    """Keep the atoms of a full exact grid that carry mass.
+
+    The lightest atoms are dropped while their total mass stays within
+    `tol`, so zero-mass atoms always go and every dropped atom is lighter
+    than every kept one. The kept atoms stay in grid order and are
+    renormalized. The diagnostics record the dropped mass and the edge
+    mass: the mass, before trimming, on atoms where some bottom j sits at
+    the grid's top cell while its pmf `bottom[j]` has mass beyond it. A
+    large edge mass means the truncated grid cut posterior mass.
+
+    Raises:
+        ValueError: tol outside [0, 1).
+
+    Warns:
+        TruncationWarning: edge mass above EDGE_MASS_WARN.
+    """
+    if not 0 <= tol < 1:
+        raise ValueError(f"tol must be in [0, 1), got {tol}")
+    support, p = joint.bottom_support, joint.probabilities
+    tops = support.max(axis=0)
+    at_edge = np.zeros(len(p), dtype=bool)
+    for j, pmf in enumerate(bottom):
+        if pmf.pmf(tops[j] + 1) > 0:
+            at_edge |= support[:, j] == tops[j]
+    edge_mass = float(p[at_edge].sum())
+    if edge_mass > EDGE_MASS_WARN:
+        warnings.warn(
+            f"exact joint holds {edge_mass:.3g} of its mass at the top cell of a truncated "
+            f"bottom grid (warning above {EDGE_MASS_WARN:g}); the grid cuts posterior mass",
+            TruncationWarning,
+            stacklevel=2,
+        )
+    ascending = np.sort(p)
+    cumulative = np.cumsum(ascending)
+    # the lightest atom whose running total passes tol is the lightest one kept
+    keep = p >= ascending[np.searchsorted(cumulative, tol, side="right")]
+    n_dropped = len(p) - np.count_nonzero(keep)
+    dropped_mass = float(cumulative[n_dropped - 1]) if n_dropped else 0.0
+    kept = p[keep]
+    return CountJoint(support[keep], kept / kept.sum(), TrimDiagnostics(dropped_mass, edge_mass))
 
 
 def _mcmc_tables(h: Hierarchy, base: BaseForecastSet):

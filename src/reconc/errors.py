@@ -75,3 +75,7 @@ class MissingJoint(ReconcError):
 
 class ConvergenceWarning(UserWarning):
     """Split-R-hat above threshold on at least one bottom coordinate."""
+
+
+class TruncationWarning(UserWarning):
+    """An exact joint holds posterior mass at the top cell of a truncated grid."""

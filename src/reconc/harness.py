@@ -25,6 +25,7 @@ from .conditioning import (
     CountJoint,
     MarginalSummary,
     SamplerDiagnostics,
+    TrimDiagnostics,
     summarize,
 )
 from .distributions import (
@@ -123,6 +124,11 @@ def load_config(path) -> ExperimentConfig:
     scoring_cfg = ScoringSettings(**raw.get("scoring", {}))
     if not 0 < scoring_cfg.alpha < 1:
         raise ValueError(f"scoring.alpha must be in (0, 1), got {scoring_cfg.alpha}")
+    if scoring_cfg.es_batch < 1:
+        raise ValueError(f"scoring.es_batch must be >= 1, got {scoring_cfg.es_batch}")
+    test_length = raw.get("test_length")
+    if test_length is not None and test_length < 1:
+        raise ValueError(f"test_length must be >= 1, got {test_length}")
     env_seed = os.environ.get("RECONC_SEED")
     if env_seed is not None:
         sampler.seed = int(env_seed)
@@ -141,7 +147,7 @@ def load_config(path) -> ExperimentConfig:
         method=method,
         forecasts=raw.get("forecasts"),
         observations=raw.get("observations"),
-        test_length=raw.get("test_length"),
+        test_length=test_length,
         output_dir=raw.get("output_dir", "out"),
         sampler=sampler,
         scoring=scoring_cfg,
@@ -288,6 +294,7 @@ def _write_artifact(out_dir: Path, h: Hierarchy, method: str, sid: str, joint) -
 
     Sampler draws go to a CSV, one equal-weight atom per row in draw order;
     any other joint goes to a compressed .npz holding its arrays by field name.
+    A joint's diagnostics go to the record.
     """
     if method == "base":
         return {}
@@ -298,27 +305,31 @@ def _write_artifact(out_dir: Path, h: Hierarchy, method: str, sid: str, joint) -
             writer.writerow(h.bottom_labels)
             writer.writerows(joint.draws.tolist())
         keys = {"samples_file": fname}
-        if joint.diagnostics is not None:
-            keys["diagnostics"] = joint.diagnostics.to_dict()
-        return keys
-    fname = f"joint_{sid}.npz"
-    np.savez_compressed(out_dir / fname, **{k: v for k, v in vars(joint).items() if v is not None})
-    return {"joint_file": fname}
+    else:
+        fname = f"joint_{sid}.npz"
+        np.savez_compressed(out_dir / fname,
+                            **{k: v for k, v in vars(joint).items() if isinstance(v, np.ndarray)})
+        keys = {"joint_file": fname}
+    if getattr(joint, "diagnostics", None) is not None:
+        keys["diagnostics"] = joint.diagnostics.to_dict()
+    return keys
 
 
 def _read_artifact(record: dict, method_dir: Path):
     """The joint `_write_artifact` stored for one series record (None if none was)."""
+    diagnostics = record.get("diagnostics")
     if "samples_file" in record:
         draws = np.loadtxt(method_dir / record["samples_file"], delimiter=",", skiprows=1,
                            dtype=np.int64, ndmin=2)
-        diagnostics = record.get("diagnostics")
         return CountJoint.from_draws(
             draws, SamplerDiagnostics.from_dict(diagnostics) if diagnostics is not None else None)
     if "joint_file" not in record:
         return None
-    joint_type = CountJoint if record["method"] == "probCount_exact" else mint.GaussianReconciled
     with np.load(method_dir / record["joint_file"]) as arrays:
-        return joint_type(**arrays)
+        if record["method"] != "probCount_exact":
+            return mint.GaussianReconciled(**arrays)
+        return CountJoint(**arrays, diagnostics=TrimDiagnostics(**diagnostics)
+                          if diagnostics is not None else None)
 
 
 def reconcile_series(h: Hierarchy, method: str, entries: dict[str, dict],
@@ -351,7 +362,8 @@ def reconcile_series(h: Hierarchy, method: str, entries: dict[str, dict],
         return summaries, None
 
     if method == "probCount_exact":
-        joint = conditioning.reconcile_exact(h, _count_forecast_set(h, entries))
+        base = _count_forecast_set(h, entries)
+        joint = conditioning.trim_joint(conditioning.reconcile_exact(h, base), base.bottom)
     elif method == "probCount_mcmc":
         joint = conditioning.reconcile_mcmc(
             h, _count_forecast_set(h, entries), n_chains=sampler.chains,

@@ -1,6 +1,7 @@
 """Tests for exact count reconciliation by virtual-evidence conditioning."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from reconc.conditioning import (
     correlation,
     reconcile_exact,
     summarize,
+    trim_joint,
 )
 from reconc.distributions import Poisson, Tabulated
 from reconc.errors import (
     IncompatibleEvidence,
     SupportTooLarge,
+    TruncationWarning,
     UndefinedCorrelation,
 )
 from reconc.hierarchy import aggregate, build_temporal_hierarchy, is_coherent
@@ -330,3 +333,98 @@ def test_draws_are_equal_weight_atoms_in_order():
     assert np.array_equal(joint.draws, draws)
     assert np.shares_memory(joint.draws, joint.bottom_support)
     assert not joint.draws.flags.writeable
+
+
+def m6_poisson_case():
+    """Six sparse Poisson bottoms (a 10^6-cell grid) with level-mean evidences."""
+    h = build_temporal_hierarchy(6, [2, 3, 6])
+    upper_rates = {"agg6": 4.2, "agg3": 1.7, "agg2": 1.1}
+    upper = [Poisson(upper_rates[label.split("_")[0]]) for label in h.upper_labels]
+    return h, BaseForecastSet([Poisson(0.6)] * 6, upper)
+
+
+def _kept_grid_cells(full: CountJoint, trimmed: CountJoint) -> np.ndarray:
+    """Boolean mask over the full grid's atoms of those the trimmed joint kept."""
+    dims = full.bottom_support.max(axis=0) + 1
+    mask = np.zeros(len(full.probabilities), dtype=bool)
+    mask[np.ravel_multi_index(trimmed.bottom_support.T, dims)] = True
+    return mask
+
+
+@pytest.mark.parametrize("case", ["poisson_249", "h421"])
+def test_trim_drops_only_the_lightest_atoms_within_tol(case):
+    h, base = (MINIMAL, poisson_249()) if case == "poisson_249" else (H421, h421_poisson_case())
+    full = reconcile_exact(h, base)
+    trimmed = trim_joint(full, base.bottom)
+    kept = _kept_grid_cells(full, trimmed)
+    dropped = full.probabilities[~kept]
+    assert dropped.size and dropped.sum() <= 1e-12
+    assert dropped.sum() == pytest.approx(trimmed.diagnostics.dropped_mass, rel=1e-9)
+    assert dropped.max() < full.probabilities[kept].min()
+    # kept atoms in grid order, renormalized
+    assert np.array_equal(trimmed.bottom_support, full.bottom_support[kept])
+    np.testing.assert_allclose(trimmed.probabilities, full.probabilities[kept]
+                               / full.probabilities[kept].sum(), rtol=1e-15, atol=0)
+
+
+def test_trim_removes_zero_mass_atoms():
+    base = BaseForecastSet(uniform_pair().bottom, [Tabulated(np.array([0.5, 0.5, 0.0]))])
+    trimmed = trim_joint(reconcile_exact(MINIMAL, base), base.bottom)
+    assert trimmed.bottom_support.tolist() == [[0, 0], [0, 1], [1, 0]]
+    assert trimmed.probabilities.min() > 0
+    assert trimmed.diagnostics.to_dict() == {"dropped_mass": 0.0, "edge_mass": 0.0}
+
+
+def test_trim_keeps_a_uniform_grid_unchanged():
+    full = bottom_up_exact(MINIMAL, uniform_pair())
+    trimmed = trim_joint(full, uniform_pair().bottom)
+    assert np.array_equal(trimmed.bottom_support, full.bottom_support)
+    assert np.array_equal(trimmed.probabilities, full.probabilities)
+    assert trimmed.diagnostics.dropped_mass == 0.0
+    # tabulated bottoms end inside the grid: nothing was cut, so no edge mass
+    assert trimmed.diagnostics.edge_mass == 0.0
+
+
+def test_trim_refuses_a_tolerance_outside_unit_interval():
+    full = bottom_up_exact(MINIMAL, uniform_pair())
+    for tol in (-1e-12, 1.0):
+        with pytest.raises(ValueError, match="tol must be in"):
+            trim_joint(full, uniform_pair().bottom, tol=tol)
+
+
+@pytest.mark.parametrize("case", ["h421", "m6"])
+def test_trimmed_summaries_match_the_full_grid(case):
+    h, base = (H421, h421_poisson_case()) if case == "h421" else m6_poisson_case()
+    full = reconcile_exact(h, base)
+    trimmed = trim_joint(full, base.bottom)
+    assert len(trimmed.probabilities) < len(full.probabilities)
+    expected, got = summarize(full, h), summarize(trimmed, h)
+    for label in h.node_labels:
+        assert got[label].mean == pytest.approx(expected[label].mean, abs=1e-10)
+        # relative: 1e-12 of mass far out in the tail moves a variance of 3.5 by 2e-10
+        assert got[label].variance == pytest.approx(expected[label].variance, rel=1e-10)
+        assert got[label].median == expected[label].median
+        assert got[label].interval == expected[label].interval
+
+
+def test_edge_mass_warns_only_when_the_grid_cuts_posterior_mass():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        quiet = trim_joint(reconcile_exact(MINIMAL, poisson_249()), poisson_249().bottom)
+        h421 = trim_joint(reconcile_exact(H421, h421_poisson_case()), h421_poisson_case().bottom)
+    assert 0 < quiet.diagnostics.edge_mass < 1e-9
+    assert 0 < h421.diagnostics.edge_mass < 1e-9
+
+    far = BaseForecastSet([Poisson(2.0), Poisson(4.0)], [Poisson(40.0)])
+    with pytest.warns(TruncationWarning, match="top cell of a truncated bottom grid"):
+        loud = trim_joint(reconcile_exact(MINIMAL, far), far.bottom)
+    assert loud.diagnostics.edge_mass > 1e-6
+
+
+def test_edge_mass_ignores_bottoms_the_grid_does_not_cut():
+    # a Poisson(0) bottom is a one-cell grid whose pmf ends there
+    base = BaseForecastSet([Poisson(0.0), Poisson(2.0)], [Poisson(2.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trimmed = trim_joint(reconcile_exact(MINIMAL, base), base.bottom)
+    assert trimmed.diagnostics.edge_mass < 1e-9

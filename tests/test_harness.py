@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import MONTHLY, run_benchmark, write_config, write_synthetic_observations
-from reconc import harness
+from reconc import conditioning, harness
 from reconc.errors import (
     InvalidAggregation,
     MissingActuals,
@@ -108,6 +108,16 @@ def test_load_config_validations(tmp_path):
     for alpha in (0, 1, 1.5, -0.1):
         p.write_text(json.dumps({"hierarchy": MONTHLY, "scoring": {"alpha": alpha}}))
         with pytest.raises(ValueError, match=r"scoring.alpha must be in \(0, 1\)"):
+            harness.load_config(p)
+
+    for test_length in (0, -12):
+        p.write_text(json.dumps({"hierarchy": MONTHLY, "test_length": test_length}))
+        with pytest.raises(ValueError, match=rf"test_length must be >= 1, got {test_length}"):
+            harness.load_config(p)
+
+    for es_batch in (0, -1):
+        p.write_text(json.dumps({"hierarchy": MONTHLY, "scoring": {"es_batch": es_batch}}))
+        with pytest.raises(ValueError, match=rf"scoring.es_batch must be >= 1, got {es_batch}"):
             harness.load_config(p)
 
 
@@ -282,7 +292,41 @@ def test_written_artifacts_read_back_to_the_same_joint(tmp_path):
             assert record["joint_file"] == "joint_series.npz"
             with np.load(out / record["joint_file"], allow_pickle=False) as arrays:
                 assert sorted(arrays.files) == sorted(
-                    k for k, v in vars(joint).items() if v is not None)
+                    k for k, v in vars(joint).items() if isinstance(v, np.ndarray))
+
+
+def test_exact_record_keeps_only_atoms_with_mass(tmp_path):
+    h_cfg = {"bottom_period_count": 2, "factors": [2]}
+    forecasts = {
+        "b1": {"dist": "poisson", "lambda": 2},
+        "b2": {"dist": "poisson", "lambda": 4},
+        "agg2_1": {"dist": "poisson", "lambda": 9},
+    }
+    (tmp_path / "fc.json").write_text(json.dumps(forecasts))
+    cfg = harness.load_config(write_config(
+        tmp_path / "cfg.json", hierarchy=h_cfg, method="probCount_exact",
+        forecasts="fc.json", output_dir="out"))
+    out = harness.run_reconcile(cfg, quiet=True)
+    record = json.loads((out / "summaries.json").read_text())["series"]
+    assert set(record["diagnostics"]) == {"dropped_mass", "edge_mass"}
+    assert 0 < record["diagnostics"]["dropped_mass"] <= 1e-12
+    assert 0 < record["diagnostics"]["edge_mass"] < 1e-6
+
+    base = harness._count_forecast_set(cfg.hierarchy, forecasts)
+    full = conditioning.reconcile_exact(cfg.hierarchy, base)
+    with np.load(out / record["joint_file"], allow_pickle=False) as arrays:
+        assert sorted(arrays.files) == ["bottom_support", "probabilities"]
+        support, probs = arrays["bottom_support"], arrays["probabilities"]
+    assert 0 < len(probs) < len(full.probabilities)
+    assert probs.min() > 0 and probs.sum() == pytest.approx(1.0, abs=1e-15)
+    grid_index = {tuple(atom): i for i, atom in enumerate(full.bottom_support.tolist())}
+    kept = np.array([grid_index[tuple(atom)] for atom in support.tolist()])
+    assert (np.diff(kept) > 0).all()  # grid order
+    dropped = np.delete(full.probabilities, kept)
+    assert dropped.sum() == pytest.approx(record["diagnostics"]["dropped_mass"], rel=1e-9)
+    back = harness._read_artifact(record, out)
+    assert np.array_equal(back.bottom_support, support)
+    assert back.diagnostics.to_dict() == record["diagnostics"]
 
 
 def _score_with_extra_series(tmp_path, sid, values, n_skipped):
