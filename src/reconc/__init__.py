@@ -15,7 +15,6 @@ from .conditioning import (
     reconcile_exact,
     reconcile_mcmc,
     summarize,
-    trim_joint,
 )
 from .distributions import (
     CountPmf,
@@ -86,5 +85,4 @@ __all__ = [
     "rps_gaussian_cc",
     "skill_score",
     "summarize",
-    "trim_joint",
 ]

@@ -204,25 +204,20 @@ def reconcile_exact(
     return joint
 
 
-def trim_joint(joint: CountJoint, bottom: list[CountPmf], tol: float = ATOM_TOL) -> CountJoint:
+def trim_joint(joint: CountJoint, bottom: list[CountPmf]) -> CountJoint:
     """Keep the atoms of a full exact grid that carry mass.
 
     The lightest atoms are dropped while their total mass stays within
-    `tol`, so zero-mass atoms always go and every dropped atom is lighter
+    ATOM_TOL, so zero-mass atoms always go and every dropped atom is lighter
     than every kept one. The kept atoms stay in grid order and are
     renormalized. The diagnostics record the dropped mass and the edge
     mass: the mass, before trimming, on atoms where some bottom j sits at
     the grid's top cell while its pmf `bottom[j]` has mass beyond it. A
     large edge mass means the truncated grid cut posterior mass.
 
-    Raises:
-        ValueError: tol outside [0, 1).
-
     Warns:
         TruncationWarning: edge mass above EDGE_MASS_WARN.
     """
-    if not 0 <= tol < 1:
-        raise ValueError(f"tol must be in [0, 1), got {tol}")
     support, p = joint.bottom_support, joint.probabilities
     tops = support.max(axis=0)
     at_edge = np.zeros(len(p), dtype=bool)
@@ -239,8 +234,8 @@ def trim_joint(joint: CountJoint, bottom: list[CountPmf], tol: float = ATOM_TOL)
         )
     ascending = np.sort(p)
     cumulative = np.cumsum(ascending)
-    # the lightest atom whose running total passes tol is the lightest one kept
-    keep = p >= ascending[np.searchsorted(cumulative, tol, side="right")]
+    # the lightest atom whose running total passes ATOM_TOL is the lightest one kept
+    keep = p >= ascending[np.searchsorted(cumulative, ATOM_TOL, side="right")]
     n_dropped = len(p) - np.count_nonzero(keep)
     dropped_mass = float(cumulative[n_dropped - 1]) if n_dropped else 0.0
     kept = p[keep]

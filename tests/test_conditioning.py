@@ -385,13 +385,6 @@ def test_trim_keeps_a_uniform_grid_unchanged():
     assert trimmed.diagnostics.edge_mass == 0.0
 
 
-def test_trim_refuses_a_tolerance_outside_unit_interval():
-    full = bottom_up_exact(MINIMAL, uniform_pair())
-    for tol in (-1e-12, 1.0):
-        with pytest.raises(ValueError, match="tol must be in"):
-            trim_joint(full, uniform_pair().bottom, tol=tol)
-
-
 @pytest.mark.parametrize("case", ["h421", "m6"])
 def test_trimmed_summaries_match_the_full_grid(case):
     h, base = (H421, h421_poisson_case()) if case == "h421" else m6_poisson_case()
