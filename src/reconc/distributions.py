@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import InsufficientSamples
 
@@ -19,6 +19,15 @@ DEFAULT_EPSILON = 1e-9
 
 #: variance floor keeping fitted Gaussians (and hence W) invertible
 VARIANCE_FLOOR = 1e-9
+
+
+def _inside_unit(q: float) -> bool:
+    """False for q <= 0 and True for 0 < q < 1; an unbounded pmf refuses q >= 1 or NaN."""
+    if q <= 0:
+        return False
+    if not q < 1:
+        raise ValueError(f"quantile level q={q} must be < 1 for a pmf with unbounded support")
+    return True
 
 
 class CountPmf:
@@ -37,7 +46,7 @@ class CountPmf:
         raise NotImplementedError
 
     def quantile(self, q: float) -> int:
-        """Smallest k with CDF(k) >= q."""
+        """Smallest k with CDF(k) >= q (0 for q <= 0)."""
         raise NotImplementedError
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -66,14 +75,17 @@ class Poisson(CountPmf):
     rate: float
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError(f"Poisson rate must be >= 0, got {self.rate}")
+        if not 0 <= self.rate < np.inf:
+            raise ValueError(f"Poisson rate must be finite and >= 0, got {self.rate}")
 
     def pmf(self, k):
-        return stats.poisson.pmf(k, self.rate)
+        k = np.asarray(k)
+        log_pmf = special.xlogy(k, self.rate) - special.gammaln(k + 1) - self.rate
+        return np.where(k < 0, 0.0, np.exp(log_pmf))[()]
 
     def cdf(self, k):
-        return stats.poisson.cdf(k, self.rate)
+        k = np.floor(k)
+        return np.where(k < 0, 0.0, special.pdtr(k, self.rate))[()]
 
     def mean(self):
         return float(self.rate)
@@ -82,9 +94,12 @@ class Poisson(CountPmf):
         return float(self.rate)
 
     def quantile(self, q):
-        if self.rate == 0:
+        if self.rate == 0 or not _inside_unit(q):
             return 0
-        return int(stats.poisson.ppf(q, self.rate))
+        # ceil of the continuous inverse, stepped back one where that already reaches q
+        k = np.ceil(special.pdtrik(q, self.rate))
+        below = max(k - 1, 0)
+        return int(below if special.pdtr(below, self.rate) >= q else k)
 
     def sample(self, n, rng):
         return rng.poisson(self.rate, size=n)
@@ -101,16 +116,20 @@ class NegBinomial(CountPmf):
     p: float
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError(f"size r must be positive, got {self.r}")
+        if not 0 < self.r < np.inf:
+            raise ValueError(f"size r must be finite and positive, got {self.r}")
         if not 0 < self.p < 1:
             raise ValueError(f"success probability must be in (0, 1), got {self.p}")
 
     def pmf(self, k):
-        return stats.nbinom.pmf(k, self.r, self.p)
+        k = np.asarray(k)
+        log_pmf = (special.gammaln(self.r + k) - special.gammaln(k + 1) - special.gammaln(self.r)
+                   + self.r * np.log(self.p) + special.xlog1py(k, -self.p))
+        return np.where(k < 0, 0.0, np.exp(log_pmf))[()]
 
     def cdf(self, k):
-        return stats.nbinom.cdf(k, self.r, self.p)
+        k = np.floor(k)
+        return np.where(k < 0, 0.0, special.betainc(self.r, k + 1, self.p))[()]
 
     def mean(self):
         return self.r * (1 - self.p) / self.p
@@ -119,7 +138,12 @@ class NegBinomial(CountPmf):
         return self.r * (1 - self.p) / self.p**2
 
     def quantile(self, q):
-        return int(stats.nbinom.ppf(q, self.r, self.p))
+        if not _inside_unit(q):
+            return 0
+        hi = max(int(self.mean()), 1)
+        while self.cdf(hi) < q:  # double until the quantile lies in 0..hi
+            hi *= 2
+        return int(np.searchsorted(self.cdf(np.arange(hi + 1)), q))
 
     def sample(self, n, rng):
         return rng.negative_binomial(self.r, self.p, size=n)
@@ -138,8 +162,8 @@ class Tabulated(CountPmf):
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probabilities must be a non-empty 1-d array")
-        if (p < 0).any():
-            raise ValueError("probabilities must be non-negative")
+        if not (p >= 0).all():
+            raise ValueError("probabilities must be non-negative (and not NaN)")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError(f"probabilities must sum to 1 within 1e-12, got {p.sum()!r}")
         object.__setattr__(self, "probs", p)
@@ -197,8 +221,10 @@ class GaussianForecast:
     variance: float
 
     def __post_init__(self):
-        if self.variance <= 0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
+        if not np.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+        if not 0 < self.variance < np.inf:
+            raise ValueError(f"variance must be finite and positive, got {self.variance}")
 
     @property
     def sd(self) -> float:

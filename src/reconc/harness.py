@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import conditioning, mint, scoring
 from .conditioning import (
@@ -122,11 +122,17 @@ def load_config(path) -> ExperimentConfig:
 
     sampler = SamplerSettings(**raw.get("sampler", {}))
     scoring_cfg = ScoringSettings(**raw.get("scoring", {}))
+    test_length = raw.get("test_length")
+    integer_keys = {"test_length": test_length, "scoring.es_batch": scoring_cfg.es_batch,
+                    "scoring.seed": scoring_cfg.seed,
+                    **{f"sampler.{k}": v for k, v in vars(sampler).items()}}
+    for key, value in integer_keys.items():
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
     if not 0 < scoring_cfg.alpha < 1:
         raise ValueError(f"scoring.alpha must be in (0, 1), got {scoring_cfg.alpha}")
     if scoring_cfg.es_batch < 1:
         raise ValueError(f"scoring.es_batch must be >= 1, got {scoring_cfg.es_batch}")
-    test_length = raw.get("test_length")
     if test_length is not None and test_length < 1:
         raise ValueError(f"test_length must be >= 1, got {test_length}")
     env_seed = os.environ.get("RECONC_SEED")
@@ -279,7 +285,7 @@ def _gaussian_forecasts(h: Hierarchy, entries: dict[str, dict]) -> list[Gaussian
 
 def _gaussian_node_summary(mean: float, var: float, alpha: float) -> dict:
     sd = float(np.sqrt(var))
-    z = stats.norm.ppf(1 - alpha / 2)
+    z = special.ndtri(1 - alpha / 2)
     return {
         "mean": float(mean),
         "variance": float(var),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .conditioning import CountJoint
 from .distributions import GaussianForecast
@@ -125,6 +125,20 @@ def reconcile_gaussian(
     )
 
 
+def _std_normal_above(a: float, u: np.ndarray) -> np.ndarray:
+    """Standard normal truncated to [a, inf), at uniform draws u, by inverse cdf.
+
+    Works in log space from the nearer tail as scipy's truncnorm ppf does, so
+    it keeps precision far out in either tail.
+    """
+    if a < 0:  # Phi(x) = Phi(a) + u (1 - Phi(a))
+        log_mass = special.log1p(-special.ndtr(a))
+        log_cdf = special.logsumexp([np.full_like(u, special.log_ndtr(a)), np.log(u) + log_mass],
+                                    axis=0)
+        return special.ndtri_exp(log_cdf)
+    return -special.ndtri_exp(np.log1p(-u) + special.log_ndtr(-a))  # Phi(-x) = (1 - u) Phi(-a)
+
+
 def reconcile_truncated(
     h: Hierarchy,
     base: list[GaussianForecast | None],
@@ -150,7 +164,6 @@ def reconcile_truncated(
         if sd < _MIN_SD:
             draws[:, j] = max(int(np.rint(mu)), 0)
             continue
-        a = (0.0 - mu) / sd
-        x = stats.truncnorm.rvs(a, np.inf, loc=mu, scale=sd, size=n_samples, random_state=rng)
+        x = _std_normal_above((0.0 - mu) / sd, rng.uniform(size=n_samples)) * sd + mu
         draws[:, j] = np.maximum(np.rint(x).astype(np.int64), 0)
     return CountJoint.from_draws(draws)

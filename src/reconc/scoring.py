@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .distributions import CountPmf, GaussianForecast, Tabulated
 from .errors import (
@@ -59,9 +59,9 @@ def discretize_gaussian(g: GaussianForecast, epsilon: float = RPS_TAIL) -> Tabul
     at the 1-epsilon quantile and the cells are renormalized.
     """
     sd = g.sd
-    k_max = max(int(np.ceil(stats.norm.ppf(1 - epsilon, g.mean, sd) + 0.5)), 0)
+    k_max = max(int(np.ceil(special.ndtri(1 - epsilon) * sd + g.mean + 0.5)), 0)
     edges = np.arange(k_max + 1) + 0.5
-    upper = stats.norm.cdf(edges, g.mean, sd)
+    upper = special.ndtr((edges - g.mean) / sd)
     cells = np.diff(np.concatenate([[0.0], upper]))
     return Tabulated.from_weights(cells)
 

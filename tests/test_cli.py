@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import math
 import subprocess
 import sys
+
+import pytest
 
 from helpers import write_config, write_synthetic_observations
 from reconc.cli import main
@@ -60,6 +63,25 @@ def test_missing_forecast_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+GAUSSIAN = {"dist": "gaussian", "mean": 1.0, "var": 1.0}
+POISSON = {"dist": "poisson", "lambda": 1.0}
+
+
+@pytest.mark.parametrize("method, ok, bad", [
+    ("normal", GAUSSIAN, {"dist": "gaussian", "mean": 1.0, "var": math.nan}),
+    ("normal", GAUSSIAN, {"dist": "gaussian", "mean": math.inf, "var": 1.0}),
+    ("probCount_exact", POISSON, {"dist": "poisson", "lambda": math.nan}),
+    ("probCount_exact", POISSON, {"dist": "negbin", "r": math.inf, "p": 0.5}),
+])
+def test_non_finite_forecast_exit_code(tmp_path, capsys, method, ok, bad):
+    (tmp_path / "fc.json").write_text(json.dumps({"agg2_1": ok, "b1": ok, "b2": bad}))
+    cfg = write_config(tmp_path / "cfg.json",
+                       hierarchy={"bottom_period_count": 2, "factors": [2]},
+                       method=method, forecasts="fc.json", output_dir="out")
+    assert main(["reconcile", "--config", str(cfg)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_observation_gap_exit_code(tmp_path, capsys):
     (tmp_path / "obs.csv").write_text(
         "series_id,t,value\n" + "".join(f"s1,{t},1\n" for t in (0, 1, 5, 5)))
@@ -89,3 +111,12 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1:] == ["1 1", "1 0", "0 1"]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, reconc.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -162,6 +162,11 @@ def test_zero_probability_atoms_stay_zero():
     assert (joint.probabilities[zero_before] == 0).all()
 
 
+def test_reconcile_exact_refuses_zero_epsilon():
+    with pytest.raises(ValueError, match="q=1.0 must be < 1"):
+        reconcile_exact(MINIMAL, poisson_249(), epsilon=0)
+
+
 def test_reconcile_exact_matches_enumeration_ground_truth():
     summaries = summarize(reconcile_exact(MINIMAL, poisson_249()), MINIMAL)
     for label in EXACT_MEANS:

@@ -131,6 +131,34 @@ def test_validation():
         GaussianForecast(0.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_parameters_refused(bad):
+    with pytest.raises(ValueError, match="Poisson rate must be finite"):
+        Poisson(bad)
+    with pytest.raises(ValueError, match="size r must be finite"):
+        NegBinomial(bad, 0.5)
+    with pytest.raises(ValueError, match="mean must be finite"):
+        GaussianForecast(bad, 1.0)
+    with pytest.raises(ValueError, match="variance must be finite"):
+        GaussianForecast(0.0, bad)
+    with pytest.raises(ValueError):
+        Tabulated(np.array([0.5, bad, 0.5]))
+    with pytest.raises(ValueError, match="must be finite"):
+        count_pmf_from_dict({"dist": "poisson", "lambda": bad})
+
+
+def test_quantile_at_the_ends_of_the_domain():
+    for d in (Poisson(2.0), NegBinomial(1.5, 0.3)):
+        assert d.quantile(0.0) == 0
+        assert d.quantile(-0.5) == 0
+        for q in (1.0, math.nan):
+            with pytest.raises(ValueError, match=f"q={q} must be < 1"):
+                d.quantile(q)
+    assert Poisson(0.0).quantile(1.0) == 0
+    tab = Tabulated(np.array([0.2, 0.3, 0.5]))
+    assert (tab.quantile(0.0), tab.quantile(1.0)) == (0, 2)
+
+
 def test_forecast_entry_parsing():
     assert isinstance(count_pmf_from_dict({"dist": "poisson", "lambda": 2}), Poisson)
     assert isinstance(count_pmf_from_dict({"dist": "negbin", "r": 2, "p": 0.5}), NegBinomial)

@@ -121,6 +121,21 @@ def test_load_config_validations(tmp_path):
             harness.load_config(p)
 
 
+@pytest.mark.parametrize("section, key", [
+    (None, "test_length"), ("sampler", "chains"), ("sampler", "draws"), ("sampler", "burn_in"),
+    ("sampler", "thin"), ("sampler", "seed"), ("scoring", "es_batch"), ("scoring", "seed"),
+])
+def test_load_config_refuses_non_integer_counts(tmp_path, section, key):
+    p = tmp_path / "cfg.json"
+    name = key if section is None else f"{section}.{key}"
+    for value in (6.5, "12", True, 12.0):
+        raw = {"hierarchy": MONTHLY}
+        raw.update({key: value} if section is None else {section: {key: value}})
+        p.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            harness.load_config(p)
+
+
 def test_env_seed_override(tmp_path, monkeypatch):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({
