@@ -15,6 +15,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 from functools import reduce
+from itertools import islice
 
 import numpy as np
 
@@ -71,17 +72,23 @@ class SamplerDiagnostics:
     n_kept: int
     burn_in: int
     thin: int
+    cap_share: float  # share of kept draws with some bottom at a cap that cuts its pmf
 
     def to_dict(self) -> dict:
         return {"acceptance_rates": self.acceptance_rates.tolist(), "rhat": self.rhat.tolist(),
-                "n_kept": self.n_kept, "burn_in": self.burn_in, "thin": self.thin}
+                "n_kept": self.n_kept, "burn_in": self.burn_in, "thin": self.thin,
+                "cap_share": self.cap_share}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SamplerDiagnostics":
-        """Inverse of to_dict; the chain count is that of the acceptance rates."""
+        """Inverse of to_dict; the chain count is that of the acceptance rates.
+
+        A record written before the cap share was kept reads back with NaN.
+        """
         rates = np.asarray(d["acceptance_rates"], dtype=float)
         return cls(rates, np.asarray(d["rhat"], dtype=float), n_chains=len(rates),
-                   n_kept=d["n_kept"], burn_in=d["burn_in"], thin=d["thin"])
+                   n_kept=d["n_kept"], burn_in=d["burn_in"], thin=d["thin"],
+                   cap_share=d.get("cap_share", math.nan))
 
 
 @dataclass
@@ -277,58 +284,93 @@ def _split_rhat(kept: np.ndarray) -> np.ndarray:
     return np.where(within == 0, np.where(between == 0, 1.0, np.inf), rhat)
 
 
-def _run_chain(rng: np.random.Generator, tables: tuple, start: list, start_upper: list,
-               burn_in: int, thin: int, out: np.ndarray) -> tuple[int, bool]:
+def _step_deltas(table: np.ndarray) -> tuple[list, list]:
+    """Log-target changes `d[x] = table[x + s] - table[x]` for s = -1 and s = +1.
+
+    A step off either end of the table gets -inf, so a move there is always
+    rejected. Entries at cells without mass (-inf - -inf, or +inf) are never
+    read: a chain scores by deltas only from states where every table is
+    finite.
+    """
+    padded = np.concatenate([[-np.inf], table, [-np.inf]])
+    with np.errstate(invalid="ignore"):
+        return (padded[:-2] - table).tolist(), (padded[2:] - table).tolist()
+
+
+def _mcmc_moves(caps: np.ndarray, bottom_tables: np.ndarray, upper_tables: np.ndarray,
+                a_matrix: np.ndarray) -> list[tuple]:
+    """The moves of a chain whose state lists the bottoms and then the uppers.
+
+    Move `2*j + (s > 0)` shifts b_j by s = +-1, and with it every upper in
+    column A[:, j] (A is 0/1). It holds s, the state entries it shifts, j,
+    the delta table of b_j and an (entry, delta table) pair per upper in
+    column order. Each node has one delta table per step, shared by every
+    move that touches it; the bottom tables end at the caps and the upper
+    tables at A @ caps.
+    """
+    m = len(caps)
+    bottom_deltas = [_step_deltas(bottom_tables[j, : cap + 1]) for j, cap in enumerate(caps)]
+    upper_deltas = [_step_deltas(upper_tables[i, :size])
+                    for i, size in enumerate(a_matrix @ caps + 1)]
+    moves = []
+    for j, col in enumerate(a_matrix.T):
+        uppers = np.flatnonzero(col).tolist()
+        for side, step in enumerate((-1, 1)):
+            moves.append((step, [j] + [m + i for i in uppers], j, bottom_deltas[j][side],
+                          tuple((m + i, upper_deltas[i][side]) for i in uppers)))
+    return moves
+
+
+def _run_chain(rng: np.random.Generator, moves: list[tuple], full_tables: list[list],
+               caps: list[int], start: list[int], burn_in: int, thin: int,
+               out: np.ndarray) -> tuple[int, bool]:
     """Run one Metropolis-Hastings chain; returns (accepted moves, reached).
 
     The chain draws its coordinates, steps and log-uniforms from `rng` in
-    that order, then walks on plain Python lists. Every `thin`-th state after
-    `burn_in` goes to the next row of `out`. Moving b_j by `step` moves every
-    upper in column A[:, j] by `step` too (A is 0/1), so a chain that holds
-    positive target mass scores the move by that local log-target delta.
-    Until it reaches such a state, a chain accepts an in-range proposal iff
-    the full target there is positive.
+    that order and turns each (coordinate, step) into its move index. Its
+    state is a plain list of the bottoms and then the uppers, starting at
+    `start`. It walks `burn_in` moves, then `thin` moves per row of `out`,
+    and stores the bottoms after each such block. A chain at a state of
+    positive target mass scores a move by summing its delta-table entries
+    there, the bottom's first and then the uppers' in column order. Until
+    it reaches such a state, a chain accepts an in-range proposal iff the
+    full target (`full_tables`, one log-pmf list per state entry) there is
+    finite.
     """
-    caps, bottom_tables, upper_tables, columns = tables
-    col_tables = [[(i, upper_tables[i]) for i in col] for col in columns]
-
-    def full_log_target(b: list, v: list) -> float:
-        return (sum(table[x] for table, x in zip(bottom_tables, b))
-                + sum(table[x] for table, x in zip(upper_tables, v)))
-
+    m = len(caps)
     total_iters = burn_in + len(out) * thin
-    coords = rng.integers(0, len(caps), size=total_iters).tolist()
-    steps = (rng.integers(0, 2, size=total_iters) * 2 - 1).tolist()
+    coords = rng.integers(0, m, size=total_iters)
+    move_index = (2 * coords + rng.integers(0, 2, size=total_iters)).tolist()
     log_u = np.log(rng.random(total_iters)).tolist()
-    state, u = list(start), list(start_upper)
-    reached = math.isfinite(full_log_target(state, u))
-    accepted = kept = 0
-    next_keep = burn_in + thin - 1
-    for it, (j, step, lu) in enumerate(zip(coords, steps, log_u)):
-        new = state[j] + step
-        if 0 <= new <= caps[j]:
+
+    def full_log_target(x: list) -> float:
+        return sum(table[v] for table, v in zip(full_tables, x))
+
+    x = list(start)
+    reached = math.isfinite(full_log_target(x))
+    accepted = 0
+    walk = zip(move_index, log_u)
+    for row in range(-1, len(out)):
+        for k, lu in islice(walk, thin if row >= 0 else burn_in):
+            step, entries, j, bottom_delta, upper_deltas = moves[k]
             if reached:
-                table = bottom_tables[j]
-                delta = table[new] - table[new - step]
-                for i, table in col_tables[j]:
-                    v = u[i]
-                    delta += table[v + step] - table[v]
+                delta = bottom_delta[x[j]]
+                for e, table in upper_deltas:
+                    delta += table[x[e]]
                 accept = lu < delta
+            elif 0 <= x[j] + step <= caps[j]:
+                prop = x.copy()
+                for e in entries:
+                    prop[e] += step
+                accept = reached = math.isfinite(full_log_target(prop))
             else:
-                prop, prop_u = state.copy(), u.copy()
-                prop[j] = new
-                for i in columns[j]:
-                    prop_u[i] += step
-                accept = reached = math.isfinite(full_log_target(prop, prop_u))
+                accept = False
             if accept:
-                state[j] = new
-                for i in columns[j]:
-                    u[i] += step
+                for e in entries:
+                    x[e] += step
                 accepted += 1
-        if it == next_keep:
-            out[kept] = state
-            kept += 1
-            next_keep += thin
+        if row >= 0:
+            out[row] = x[:m]
     return accepted, reached
 
 
@@ -347,9 +389,13 @@ def reconcile_mcmc(
     pmfs and, for each present evidence, its mass at the implied aggregate.
     Proposals perturb one uniformly chosen coordinate by +-1 (symmetric, so
     no Hastings correction); proposals leaving the non-negative orthant have
-    zero target mass and are rejected. A move of b_j is scored by its local
-    log-target delta: the change in the log pmf of b_j plus the change in the
-    evidence log pmf of each upper node in column A[:, j]. Chains start at
+    zero target mass and are rejected, as are those past a bottom's table
+    cap. A move of b_j is scored by its local log-target delta: the change
+    in the log pmf of b_j plus the change in the evidence log pmf of each
+    upper node in column A[:, j], read from delta tables built once per
+    call. The diagnostics' cap share is the share of kept draws in which
+    some bottom sits at its cap while its pmf has mass beyond it, the rule
+    trim_joint applies to a grid's edge. Chains start at
     the per-bottom medians, run `burn_in` discarded iterations (default: half
     the sampling phase) and then keep every `thin`-th state until
     `n_samples` draws per chain are collected. Chains run one after another,
@@ -364,6 +410,8 @@ def reconcile_mcmc(
     Warns:
         ConvergenceWarning: split R-hat above 1.1 on some coordinate
             (non-fatal; also recorded in the diagnostics).
+        TruncationWarning: cap share above EDGE_MASS_WARN (also recorded in
+            the diagnostics).
     """
     base.validate(h)
     if n_chains < 1:
@@ -377,17 +425,18 @@ def reconcile_mcmc(
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
     caps, bottom_tables, upper_tables = _mcmc_tables(h, base)
-    tables = (caps.tolist(), bottom_tables.tolist(), upper_tables.tolist(),
-              [np.flatnonzero(col).tolist() for col in h.a_matrix.T])
-    start = [min(pmf.median(), cap) for pmf, cap in zip(base.bottom, tables[0])]
-    start_upper = (h.a_matrix @ start).tolist()
+    moves = _mcmc_moves(caps, bottom_tables, upper_tables, h.a_matrix)
+    full_tables = bottom_tables.tolist() + upper_tables.tolist()
+    cap_list = caps.tolist()
+    start = [min(pmf.median(), cap) for pmf, cap in zip(base.bottom, cap_list)]
+    start += (h.a_matrix @ start).tolist()
 
     kept = np.empty((n_chains, n_samples, h.m), dtype=np.int64)
     accepted = np.zeros(n_chains, dtype=np.int64)
     stuck = []
     for c, child in enumerate(np.random.SeedSequence(seed).spawn(n_chains)):
-        accepted[c], reached = _run_chain(np.random.default_rng(child), tables, start,
-                                          start_upper, burn_in, thin, kept[c])
+        accepted[c], reached = _run_chain(np.random.default_rng(child), moves, full_tables,
+                                          cap_list, start, burn_in, thin, kept[c])
         if not reached:
             stuck.append(c)
     if stuck:
@@ -401,6 +450,16 @@ def reconcile_mcmc(
             ConvergenceWarning,
             stacklevel=2,
         )
+    cut = [j for j, pmf in enumerate(base.bottom) if pmf.pmf(caps[j] + 1) > 0]
+    cap_share = float((kept[..., cut] == caps[cut]).any(axis=-1).mean())
+    if cap_share > EDGE_MASS_WARN:
+        warnings.warn(
+            f"{cap_share:.3g} of the kept draws hold some bottom at its table cap while its "
+            f"pmf goes on beyond it (warning above {EDGE_MASS_WARN:g}); the caps cut "
+            "posterior mass",
+            TruncationWarning,
+            stacklevel=2,
+        )
     diag = SamplerDiagnostics(
         acceptance_rates=accepted / (burn_in + n_samples * thin),
         rhat=rhat,
@@ -408,6 +467,7 @@ def reconcile_mcmc(
         n_kept=n_chains * n_samples,
         burn_in=burn_in,
         thin=thin,
+        cap_share=cap_share,
     )
     return CountJoint.from_draws(kept.reshape(-1, h.m), diag)
 

@@ -10,6 +10,7 @@ together with skill scores against a baseline method.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import warnings
@@ -295,6 +296,25 @@ def _gaussian_node_summary(mean: float, var: float, alpha: float) -> dict:
     }
 
 
+def _csv_body(values: np.ndarray) -> bytes:
+    """The rows `csv.writer` writes for a 2-d integer array, built in numpy.
+
+    Each value from the smallest to the largest becomes its digits,
+    NUL-padded to a common width. Every cell is followed by a comma, the
+    last of a row by CR LF, and the NUL bytes are dropped.
+    """
+    n_rows, n_cols = values.shape
+    low = int(values.min())
+    digits = np.array([str(v) for v in range(low, int(values.max()) + 1)], dtype=bytes)
+    width = digits.itemsize
+    cells = np.full((n_rows, n_cols, width + 1), ord(","), dtype=np.uint8)
+    cells[..., :width] = digits[values - low].view(np.uint8).reshape(n_rows, n_cols, width)
+    cells[:, -1, width] = ord("\r")
+    rows = np.concatenate([cells.reshape(n_rows, n_cols * (width + 1)),
+                           np.full((n_rows, 1), ord("\n"), dtype=np.uint8)], axis=1)
+    return rows[rows != 0].tobytes()
+
+
 def _write_artifact(out_dir: Path, h: Hierarchy, method: str, sid: str, joint) -> dict:
     """Write one series' reconciled joint; returns the record keys that locate it.
 
@@ -306,10 +326,10 @@ def _write_artifact(out_dir: Path, h: Hierarchy, method: str, sid: str, joint) -
         return {}
     if method in STOCHASTIC_METHODS:
         fname = f"samples_{sid}.csv"
-        with open(out_dir / fname, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(h.bottom_labels)
-            writer.writerows(joint.draws.tolist())
+        header = io.StringIO()
+        csv.writer(header).writerow(h.bottom_labels)
+        with open(out_dir / fname, "wb") as fh:
+            fh.write(header.getvalue().encode() + _csv_body(joint.draws))
         keys = {"samples_file": fname}
     else:
         fname = f"joint_{sid}.npz"

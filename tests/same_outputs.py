@@ -13,8 +13,10 @@ message in `<hierarchy>/<method>/error.txt`. To compare two versions of the
 library, write one tree with each (point PYTHONPATH at each `src/`).
 
 `compare` walks both trees and exits 1 on any difference it does not allow.
-Files that are not byte-equal are compared field by field: JSON values by
-key path, CSV cells by row and column, `.npz` arrays by name, and exact
+It prints how many files both trees have and how many of those are
+byte-equal; a CSV is compared cell by cell, so a changed line terminator
+shows only in that count. Files that are not byte-equal are compared field
+by field: JSON values by key path, CSV cells by row and column, `.npz` arrays by name, and exact
 joints (`bottom_support` plus `probabilities`) by the total variation
 between them. A field is named `<file>:<path>`, a CSV cell
 `<file>:<row>[<text cells>]/<column>`; a JSON list item that is an object
@@ -184,9 +186,10 @@ class Comparison:
             scale = float(np.max(np.abs([va, vb]), initial=0.0))
             self.difference(f"{key}:{name}", diff, scale, f"largest difference {diff:.3g}")
 
-    def files(self, rel: str, a: Path, b: Path):
+    def files(self, rel: str, a: Path, b: Path) -> bool:
+        """Compare one file of both trees; returns whether it is byte-equal."""
         if a.read_bytes() == b.read_bytes():
-            return
+            return True
         if a.suffix == ".json":
             self.values(rel + ":", json.loads(a.read_text()), json.loads(b.read_text()))
         elif a.suffix == ".csv":
@@ -195,6 +198,7 @@ class Comparison:
             self.npz_files(rel, a, b)
         else:
             self.failures.append(f"{rel}: contents differ")
+        return False
 
 
 def _total_variation(a: dict, b: dict) -> float:
@@ -209,17 +213,16 @@ def _total_variation(a: dict, b: dict) -> float:
     return 0.5 * float(np.abs(masses[0] - masses[1]).sum())
 
 
-def compare_trees(old: Path, new: Path, comparison: Comparison) -> int:
-    """Compare every file of two trees; returns the number of files compared."""
+def compare_trees(old: Path, new: Path, comparison: Comparison) -> tuple[int, int]:
+    """Compare every file of two trees; returns (files compared, files byte-equal)."""
     old_files = {p.relative_to(old).as_posix() for p in old.rglob("*") if p.is_file()}
     new_files = {p.relative_to(new).as_posix() for p in new.rglob("*") if p.is_file()}
     for rel in sorted(old_files - new_files):
         comparison.failures.append(f"{rel}: only in the old tree")
     for rel in sorted(new_files - old_files):
         comparison.new_only(rel)
-    for rel in sorted(old_files & new_files):
-        comparison.files(rel, old / rel, new / rel)
-    return len(old_files & new_files)
+    both = sorted(old_files & new_files)
+    return len(both), sum(comparison.files(rel, old / rel, new / rel) for rel in both)
 
 
 def _tolerance_arg(text: str) -> tuple[str, float]:
@@ -249,8 +252,8 @@ def main(argv=None) -> int:
         write_tree(args.out)
         return 0
     comparison = Comparison(dict(args.tol), args.allow_added)
-    n_files = compare_trees(args.old, args.new, comparison)
-    print(f"{n_files} files in both trees")
+    n_files, n_equal = compare_trees(args.old, args.new, comparison)
+    print(f"{n_files} files in both trees, {n_equal} byte-equal")
     for pattern, (count, largest) in comparison.tolerated.items():
         print(f"within tolerance {pattern}: {count} fields, largest absolute difference {largest:.3g}")
     if comparison.added:

@@ -1,6 +1,8 @@
 """Tests for the experiment harness: aggregation, pipelines, demos."""
 
+import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -308,6 +310,49 @@ def test_written_artifacts_read_back_to_the_same_joint(tmp_path):
             with np.load(out / record["joint_file"], allow_pickle=False) as arrays:
                 assert sorted(arrays.files) == sorted(
                     k for k, v in vars(joint).items() if isinstance(v, np.ndarray))
+
+
+CSV_BLOCKS = {
+    "zeros": np.zeros((4, 3), dtype=np.int64),
+    "digits": np.arange(10).reshape(2, 5),
+    "multi_digit": np.array([[10, 99, 100], [123456, 0, 7], [5, 100, 99]]),
+    "one_row": np.array([[3, 14, 159, 2653]]),
+    "one_column": np.array([[2], [71], [828], [1]]),
+    "draws_40000x12": np.random.default_rng(0).negative_binomial(0.8, 0.35, size=(40_000, 12)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_BLOCKS))
+def test_csv_body_equals_csv_writer(name):
+    values = CSV_BLOCKS[name]
+    expected = io.StringIO()
+    csv.writer(expected).writerows(values.tolist())
+    assert harness._csv_body(values) == expected.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", ["multi_digit", "one_row", "draws_40000x12"])
+def test_samples_csv_reads_back_to_the_same_draws(tmp_path, name):
+    values = CSV_BLOCKS[name]
+    h = build_temporal_hierarchy(values.shape[1], [values.shape[1]])
+    joint = conditioning.CountJoint.from_draws(values)
+    record = {"method": "probCount_mcmc",
+              **harness._write_artifact(tmp_path, h, "probCount_mcmc", "s1", joint)}
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(h.bottom_labels)
+    writer.writerows(values.tolist())
+    assert (tmp_path / record["samples_file"]).read_bytes() == expected.getvalue().encode()
+    assert_same_fields(harness._read_artifact(record, tmp_path), joint)
+
+
+def test_sampler_record_without_cap_share_reads_back_as_nan():
+    diag = conditioning.SamplerDiagnostics(np.array([0.4, 0.5]), np.array([1.0, 1.01]),
+                                           n_chains=2, n_kept=20, burn_in=5, thin=2,
+                                           cap_share=0.0)
+    record = diag.to_dict()
+    assert_same_fields(conditioning.SamplerDiagnostics.from_dict(record), diag)
+    del record["cap_share"]  # as written before the cap share was recorded
+    assert np.isnan(conditioning.SamplerDiagnostics.from_dict(record).cap_share)
 
 
 def test_exact_record_keeps_only_atoms_with_mass(tmp_path):

@@ -1,8 +1,12 @@
 """Tests for the Metropolis-Hastings sampler over bottom count vectors."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from helpers import write_synthetic_observations
+from reconc import harness
 from reconc.conditioning import (
     BaseForecastSet,
     _split_rhat,
@@ -11,7 +15,7 @@ from reconc.conditioning import (
     summarize,
 )
 from reconc.distributions import NegBinomial, Poisson, Tabulated
-from reconc.errors import ConvergenceWarning, SamplerStuck
+from reconc.errors import ConvergenceWarning, SamplerStuck, TruncationWarning
 from reconc.hierarchy import Hierarchy, build_temporal_hierarchy
 from reference_mcmc import reference_mcmc
 
@@ -134,6 +138,17 @@ def test_short_runs_do_not_crash():
     assert np.isnan(joint.diagnostics.rhat).all()
 
 
+MONTHLY_H = build_temporal_hierarchy(12, [2, 3, 4, 6, 12])
+
+
+def monthly_mixed():
+    """Poisson and NB bottoms, each upper Poisson at 1.2 x its bottom-up mean."""
+    bottom = [Poisson(0.6) if j % 2 else NegBinomial(0.8, 0.35) for j in range(12)]
+    means = np.array([pmf.mean() for pmf in bottom])
+    upper = [Poisson(1.2 * float(row @ means)) for row in MONTHLY_H.a_matrix]
+    return BaseForecastSet(bottom, upper)
+
+
 ORACLE_CASES = {
     "poisson_249": (MINIMAL, poisson_249()),
     "table2": (MINIMAL, BaseForecastSet(
@@ -153,6 +168,13 @@ ORACLE_CASES = {
     "unreached_start": (MINIMAL, BaseForecastSet(
         [Tabulated(np.array([0.1, 0.8, 0.1])), Tabulated(np.array([0.1, 0.8, 0.1]))],
         [Tabulated(np.array([0.0, 0.0, 0.0, 0.6, 0.4]))])),
+    "monthly_poisson_nb": (MONTHLY_H, monthly_mixed()),
+    # zero cells inside a bottom's and an evidence's support: -inf deltas next to them
+    "interior_zeros": (MINIMAL, BaseForecastSet(
+        [Tabulated(np.array([0.2, 0.3, 0.0, 0.3, 0.2])), Poisson(1.5)],
+        [Tabulated(np.array([0.1, 0.2, 0.0, 0.3, 0.2, 0.2]))])),
+    # evidence far above the bottom-up sum pins the bottoms at their caps
+    "pinned_at_caps": (MINIMAL, BaseForecastSet([Poisson(0.5), Poisson(0.5)], [Poisson(700.0)])),
 }
 
 
@@ -177,3 +199,64 @@ def test_unreached_start_finds_the_target():
     )
     joint = reconcile_mcmc(MINIMAL, base, n_chains=4, n_samples=500, seed=0)
     assert (joint.draws.sum(axis=1) == 3).all()
+
+
+@pytest.mark.filterwarnings("ignore::reconc.errors.ConvergenceWarning")  # short chains
+@pytest.mark.filterwarnings("ignore::reconc.errors.TruncationWarning")  # pinned_at_caps
+@pytest.mark.parametrize("burn_in, thin", [(0, 2), (150, 1)], ids=["burn_in_0", "thin_1"])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_draws_equal_lockstep_reference_at_block_edges(case, burn_in, thin):
+    # no burn-in block, and keep blocks of a single move
+    h, base = ORACLE_CASES[case]
+    settings = dict(n_chains=3, n_samples=200, burn_in=burn_in, seed=11, thin=thin)
+    joint = reconcile_mcmc(h, base, **settings)
+    draws, acceptance, rhat, reached = reference_mcmc(h, base, **settings)
+    assert reached.all()
+    assert np.array_equal(joint.draws, draws)
+    assert np.array_equal(joint.diagnostics.acceptance_rates, acceptance)
+    assert np.array_equal(joint.diagnostics.rhat, rhat, equal_nan=True)
+
+
+def test_cap_share_warns_when_draws_sit_at_the_caps():
+    # Poisson(0.5) bottoms are capped at 13; Poisson(700) evidence pulls them there
+    base = BaseForecastSet([Poisson(0.5), Poisson(0.5)], [Poisson(700.0)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        joint = reconcile_mcmc(MINIMAL, base, n_chains=4, n_samples=2000, seed=0)
+    assert [w.category for w in caught] == [TruncationWarning]
+    at_cap = (joint.draws == 13).any(axis=1).mean()
+    assert joint.diagnostics.cap_share == at_cap > 0.1
+
+
+def test_cap_share_ignores_bottoms_the_cap_does_not_cut():
+    # the point-mass bottoms end at their caps, so sitting there cuts nothing
+    joint = reconcile_mcmc(MINIMAL, ORACLE_CASES["point_mass"][1], n_chains=2, n_samples=200,
+                           seed=1)
+    assert joint.diagnostics.cap_share == 0.0
+
+
+def silent_run(h, base) -> float:
+    """Cap share of a paper-settings run that must raise no TruncationWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        joint = reconcile_mcmc(h, base, n_chains=4, n_samples=10_000, seed=0, thin=10)
+    return joint.diagnostics.cap_share
+
+
+def test_cap_share_silent_below_the_caps():
+    # evidence at 60 pulls the Poisson(0.5) bottoms to about 3.7, far below their caps of 13
+    base = BaseForecastSet([Poisson(0.5), Poisson(0.5)], [Poisson(60.0)])
+    assert silent_run(MINIMAL, base) == 0.0
+
+
+def test_cap_share_silent_on_the_h421_demo(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        assert harness.demo("hierarchy421", out_dir=tmp_path, seed=0, quiet=True)
+
+
+def test_cap_share_silent_on_a_monthly_series(tmp_path):
+    write_synthetic_observations(tmp_path / "obs.csv")
+    values = harness.read_observations(tmp_path / "obs.csv")["bursty"]
+    entries = harness.empirical_poisson_forecasts(values[:-12], MONTHLY_H)
+    assert silent_run(MONTHLY_H, harness._count_forecast_set(MONTHLY_H, entries)) == 0.0
