@@ -12,9 +12,10 @@ count vectors.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import asdict, dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import islice
 
 import numpy as np
@@ -374,6 +375,42 @@ def _run_chain(rng: np.random.Generator, moves: list[tuple], full_tables: list[l
     return accepted, reached
 
 
+def _chain_job(child: np.random.SeedSequence, moves: list[tuple], full_tables: list[list],
+               caps: list[int], start: list[int], burn_in: int, thin: int,
+               n_samples: int) -> tuple[np.ndarray, int, bool]:
+    """Run one chain from its spawned seed; returns (kept draws, accepted, reached)."""
+    out = np.empty((n_samples, len(caps)), dtype=np.int64)
+    accepted, reached = _run_chain(np.random.default_rng(child), moves, full_tables, caps,
+                                   start, burn_in, thin, out)
+    return out, accepted, reached
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_chains(job, children: list) -> list:
+    """Results of `job` on each chain seed, in chain order.
+
+    The jobs run in worker processes or in this one by the rule that
+    reconcile_mcmc states; a daemonic process may not start children.
+    """
+    workers = min(len(children), _usable_cpus())
+    if workers > 1:
+        import multiprocessing
+
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            from concurrent.futures.process import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+                return list(pool.map(job, children))
+    return list(map(job, children))
+
+
 def reconcile_mcmc(
     h: Hierarchy,
     base: BaseForecastSet,
@@ -398,9 +435,15 @@ def reconcile_mcmc(
     trim_joint applies to a grid's edge. Chains start at
     the per-bottom medians, run `burn_in` discarded iterations (default: half
     the sampling phase) and then keep every `thin`-th state until
-    `n_samples` draws per chain are collected. Chains run one after another,
-    each from its own generator spawned from `seed`, so every chain's draws
-    depend only on `seed` and its index.
+    `n_samples` draws per chain are collected. Each chain draws from its own
+    generator spawned from `seed`, so its draws depend only on `seed` and
+    its index, never on the number of worker processes. The tables and the
+    start are built once here; the chains then run in
+    `min(n_chains, usable CPUs)` forked worker processes, which end before
+    this call returns. Usable CPUs are `len(os.sched_getaffinity(0))`, or
+    `os.cpu_count()` where that call does not exist. The chains run in
+    this process instead with 1 usable CPU, 1 chain, no "fork" start
+    method, or from a daemonic process.
 
     Raises:
         ValueError: n_chains, n_samples or thin below 1, or burn_in below 0.
@@ -431,14 +474,13 @@ def reconcile_mcmc(
     start = [min(pmf.median(), cap) for pmf, cap in zip(base.bottom, cap_list)]
     start += (h.a_matrix @ start).tolist()
 
-    kept = np.empty((n_chains, n_samples, h.m), dtype=np.int64)
-    accepted = np.zeros(n_chains, dtype=np.int64)
-    stuck = []
-    for c, child in enumerate(np.random.SeedSequence(seed).spawn(n_chains)):
-        accepted[c], reached = _run_chain(np.random.default_rng(child), moves, full_tables,
-                                          cap_list, start, burn_in, thin, kept[c])
-        if not reached:
-            stuck.append(c)
+    job = partial(_chain_job, moves=moves, full_tables=full_tables, caps=cap_list,
+                  start=start, burn_in=burn_in, thin=thin, n_samples=n_samples)
+    children = np.random.SeedSequence(seed).spawn(n_chains)
+    chains, accepted, reached = zip(*_map_chains(job, children))
+    kept = np.stack(chains)
+    accepted = np.array(accepted, dtype=np.int64)
+    stuck = [c for c, ok in enumerate(reached) if not ok]
     if stuck:
         raise SamplerStuck(f"chains {stuck} never reached positive target probability")
 

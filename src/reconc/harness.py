@@ -110,8 +110,9 @@ def load_config(path) -> ExperimentConfig:
     """Parse an experiment config JSON file.
 
     The RECONC_SEED environment variable overrides both the sampler and
-    scoring seeds. A seed is mandatory whenever a stochastic method
-    (probCount_mcmc, truncated) is selected.
+    scoring seeds; it and both seeds must be non-negative. A seed is
+    mandatory whenever a stochastic method (probCount_mcmc, truncated) is
+    selected.
     """
     path = Path(path)
     raw = json.loads(path.read_text())
@@ -137,9 +138,13 @@ def load_config(path) -> ExperimentConfig:
     if test_length is not None and test_length < 1:
         raise ValueError(f"test_length must be >= 1, got {test_length}")
     env_seed = os.environ.get("RECONC_SEED")
+    seeds = {"sampler.seed": sampler.seed, "scoring.seed": scoring_cfg.seed,
+             "RECONC_SEED": None if env_seed is None else int(env_seed)}
+    for key, value in seeds.items():
+        if value is not None and value < 0:
+            raise ValueError(f"{key} must be >= 0, got {value}")
     if env_seed is not None:
-        sampler.seed = int(env_seed)
-        scoring_cfg.seed = int(env_seed)
+        sampler.seed = scoring_cfg.seed = seeds["RECONC_SEED"]
     if scoring_cfg.seed is None:
         scoring_cfg.seed = sampler.seed if sampler.seed is not None else 0
 

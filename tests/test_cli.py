@@ -120,3 +120,15 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_process_pools_unloaded():
+    # reconcile_mcmc imports them when it starts its chain workers
+    modules = ["multiprocessing", "concurrent.futures.process"]
+    code = f"import sys, reconc.cli; print([m in sys.modules for m in {modules}])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False]"

@@ -81,7 +81,7 @@ def test_read_observations_rejects_gaps_and_repeats(tmp_path):
         harness.read_observations(p)
 
 
-def test_load_config_validations(tmp_path):
+def test_load_config_validations(tmp_path, monkeypatch):
     bad = dict(hierarchy={}, method="normal")
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(bad))
@@ -121,6 +121,20 @@ def test_load_config_validations(tmp_path):
         p.write_text(json.dumps({"hierarchy": MONTHLY, "scoring": {"es_batch": es_batch}}))
         with pytest.raises(ValueError, match=rf"scoring.es_batch must be >= 1, got {es_batch}"):
             harness.load_config(p)
+
+    for method in ("probCount_mcmc", "truncated"):
+        p.write_text(json.dumps({"hierarchy": MONTHLY, "method": method,
+                                 "sampler": {"seed": -1}}))
+        with pytest.raises(ValueError, match=r"^sampler.seed must be >= 0, got -1$"):
+            harness.load_config(p)
+    p.write_text(json.dumps({"hierarchy": MONTHLY, "scoring": {"seed": -5}}))
+    with pytest.raises(ValueError, match=r"^scoring.seed must be >= 0, got -5$"):
+        harness.load_config(p)
+    p.write_text(json.dumps({"hierarchy": MONTHLY, "method": "probCount_mcmc",
+                             "sampler": {"seed": 1}}))
+    monkeypatch.setenv("RECONC_SEED", "-3")
+    with pytest.raises(ValueError, match=r"^RECONC_SEED must be >= 0, got -3$"):
+        harness.load_config(p)
 
 
 @pytest.mark.parametrize("section, key", [

@@ -1,12 +1,14 @@
 """Tests for the Metropolis-Hastings sampler over bottom count vectors."""
 
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
 import pytest
 
 from helpers import write_synthetic_observations
-from reconc import harness
+from reconc import conditioning, harness
 from reconc.conditioning import (
     BaseForecastSet,
     _split_rhat,
@@ -215,6 +217,60 @@ def test_draws_equal_lockstep_reference_at_block_edges(case, burn_in, thin):
     assert np.array_equal(joint.draws, draws)
     assert np.array_equal(joint.diagnostics.acceptance_rates, acceptance)
     assert np.array_equal(joint.diagnostics.rhat, rhat, equal_nan=True)
+
+
+def run_both_paths(monkeypatch, h, base, **settings):
+    """reconcile_mcmc on forked workers, then in this process, with the fork count.
+
+    Each run returns the joint, or the SamplerStuck it raised.
+    """
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    runs = []
+    for cpus in (settings["n_chains"], 1):
+        monkeypatch.setattr(conditioning, "_usable_cpus", lambda cpus=cpus: cpus)
+        try:
+            runs.append(reconcile_mcmc(h, base, **settings))
+        except SamplerStuck as exc:
+            runs.append(exc)
+        assert multiprocessing.active_children() == []
+    return runs, len(forks)
+
+
+@pytest.mark.filterwarnings("ignore::reconc.errors.ConvergenceWarning")  # short chains
+@pytest.mark.filterwarnings("ignore::reconc.errors.TruncationWarning")  # pinned_at_caps
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_worker_processes_give_the_in_process_draws(monkeypatch, case):
+    h, base = ORACLE_CASES[case]
+    (workers, in_process), forks = run_both_paths(monkeypatch, h, base, n_chains=3,
+                                                 n_samples=200, burn_in=150, seed=11, thin=2)
+    assert forks == 3
+    assert np.array_equal(workers.draws, in_process.draws)
+    for name in ("acceptance_rates", "rhat"):
+        assert np.array_equal(getattr(workers.diagnostics, name),
+                              getattr(in_process.diagnostics, name), equal_nan=True)
+    assert workers.diagnostics.cap_share == in_process.diagnostics.cap_share
+
+
+def test_sampler_stuck_from_workers_names_the_stuck_chains(monkeypatch):
+    # the start (0, 0) sums to 0, where the evidence has no mass; a chain
+    # reaches the target only if its single move proposes a +1
+    half = Tabulated(np.array([0.5, 0.5]))
+    base = BaseForecastSet([half, half], [Tabulated(np.array([0.0, 1.0]))])
+    settings = dict(n_chains=4, n_samples=1, burn_in=0, seed=2, thin=1)
+    stuck = np.flatnonzero(~reference_mcmc(MINIMAL, base, **settings)[3]).tolist()
+    assert 0 < len(stuck) < 4
+    (workers, in_process), forks = run_both_paths(monkeypatch, MINIMAL, base, **settings)
+    assert forks == 4
+    for exc in (workers, in_process):
+        assert isinstance(exc, SamplerStuck)
+        assert str(exc) == f"chains {stuck} never reached positive target probability"
 
 
 def test_cap_share_warns_when_draws_sit_at_the_caps():
