@@ -69,10 +69,6 @@ class ObservationGap(ReconcError):
     """A series' observation times skip or repeat a period."""
 
 
-class MissingJoint(ReconcError):
-    """A reconciled output record of a coherent method stores no joint."""
-
-
 class ConvergenceWarning(UserWarning):
     """Split-R-hat above threshold on at least one bottom coordinate."""
 

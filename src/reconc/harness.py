@@ -41,7 +41,6 @@ from .errors import (
     InvalidAggregation,
     MissingActuals,
     MissingForecast,
-    MissingJoint,
     ObservationGap,
     SeriesTooShort,
     UndefinedScale,
@@ -71,9 +70,7 @@ class SamplerSettings:
 @dataclass
 class ScoringSettings:
     alpha: float = 0.1
-    es_batch: int = 1000
     baseline: str = "normal"
-    seed: int | None = None
 
 
 @dataclass
@@ -106,13 +103,34 @@ def _hierarchy_from_config(section: dict, base_dir: Path) -> Hierarchy:
     return Hierarchy.from_json((base_dir / section["a_matrix_file"]).read_text())
 
 
+def _integer(key: str, value, minimum: int | None = None):
+    """`value` checked by name: None, or an int (not a bool) of at least `minimum`."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if value is not None and minimum is not None and value < minimum:
+        raise ValueError(f"{key} must be >= {minimum}, got {value}")
+    return value
+
+
+def _env_seed() -> int | None:
+    """RECONC_SEED checked as a seed; None where it is unset."""
+    text = os.environ.get("RECONC_SEED")
+    try:
+        value = int(text) if text is not None else None
+    except ValueError:
+        value = text  # refused by name
+    return _integer("RECONC_SEED", value, minimum=0)
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse an experiment config JSON file.
 
-    The RECONC_SEED environment variable overrides both the sampler and
-    scoring seeds; it and both seeds must be non-negative. A seed is
-    mandatory whenever a stochastic method (probCount_mcmc, truncated) is
-    selected.
+    `test_length` and the `sampler` counts and seed must be JSON integers.
+    The RECONC_SEED environment variable overrides the sampler seed; it and
+    the sampler seed must be non-negative integers. A seed is mandatory
+    whenever a stochastic method (probCount_mcmc, truncated) is selected.
+    The `scoring` keys `es_batch` and `seed` of older configs are ignored
+    with one DeprecationWarning each; any other unknown key is refused.
     """
     path = Path(path)
     raw = json.loads(path.read_text())
@@ -123,30 +141,21 @@ def load_config(path) -> ExperimentConfig:
     h = _hierarchy_from_config(raw["hierarchy"], base_dir)
 
     sampler = SamplerSettings(**raw.get("sampler", {}))
-    scoring_cfg = ScoringSettings(**raw.get("scoring", {}))
-    test_length = raw.get("test_length")
-    integer_keys = {"test_length": test_length, "scoring.es_batch": scoring_cfg.es_batch,
-                    "scoring.seed": scoring_cfg.seed,
-                    **{f"sampler.{k}": v for k, v in vars(sampler).items()}}
-    for key, value in integer_keys.items():
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
+    scoring_raw = dict(raw.get("scoring", {}))
+    for key in ("es_batch", "seed"):
+        if key in scoring_raw:
+            del scoring_raw[key]
+            warnings.warn(f"scoring.{key} is deprecated and ignored: the energy score "
+                          "is computed in closed form", DeprecationWarning, stacklevel=2)
+    scoring_cfg = ScoringSettings(**scoring_raw)
+    test_length = _integer("test_length", raw.get("test_length"), minimum=1)
+    for key, value in vars(sampler).items():
+        _integer(f"sampler.{key}", value, minimum=0 if key == "seed" else None)
     if not 0 < scoring_cfg.alpha < 1:
         raise ValueError(f"scoring.alpha must be in (0, 1), got {scoring_cfg.alpha}")
-    if scoring_cfg.es_batch < 1:
-        raise ValueError(f"scoring.es_batch must be >= 1, got {scoring_cfg.es_batch}")
-    if test_length is not None and test_length < 1:
-        raise ValueError(f"test_length must be >= 1, got {test_length}")
-    env_seed = os.environ.get("RECONC_SEED")
-    seeds = {"sampler.seed": sampler.seed, "scoring.seed": scoring_cfg.seed,
-             "RECONC_SEED": None if env_seed is None else int(env_seed)}
-    for key, value in seeds.items():
-        if value is not None and value < 0:
-            raise ValueError(f"{key} must be >= 0, got {value}")
+    env_seed = _env_seed()
     if env_seed is not None:
-        sampler.seed = scoring_cfg.seed = seeds["RECONC_SEED"]
-    if scoring_cfg.seed is None:
-        scoring_cfg.seed = sampler.seed if sampler.seed is not None else 0
+        sampler.seed = env_seed
 
     method = raw.get("method")
     if method is not None and method not in METHODS:
@@ -465,39 +474,6 @@ def format_summary_table(h: Hierarchy, summaries: dict[str, dict]) -> str:
 # ---------------------------------------------------------------------------
 # score pipeline
 
-def _joint_batches(h: Hierarchy, record: dict, method_dir: Path, sid: str, n_per_batch: int,
-                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Two batches of full-hierarchy vectors from a reconciled output.
-
-    Stored draws are split into two halves; any other joint is sampled twice.
-    """
-    joint = _read_artifact(record, method_dir)
-    if joint is None:
-        if record["method"] != "base":
-            raise MissingJoint(f"series {sid!r} of method {record['method']!r} stores no joint")
-        # base method: independent per-node draws, incoherent by construction
-        def draw_batch():
-            cols = []
-            for label in h.node_labels:
-                marginal = record["nodes"][label]["marginal"]
-                if marginal["dist"] == "gaussian":
-                    cols.append(rng.normal(marginal["mean"], np.sqrt(marginal["var"]),
-                                           n_per_batch))
-                else:
-                    cols.append(count_pmf_from_dict(marginal).sample(n_per_batch, rng))
-            return np.column_stack(cols)
-
-        return draw_batch(), draw_batch()
-    s_t = h.s_matrix.T
-    if record["method"] in STOCHASTIC_METHODS:
-        draws = joint.draws
-        half = len(draws) // 2
-        if half < 1:
-            raise MissingActuals(f"series {sid!r} has too few stored samples for the energy score")
-        return draws[:half] @ s_t, draws[half: 2 * half] @ s_t
-    return joint.sample(n_per_batch, rng) @ s_t, joint.sample(n_per_batch, rng) @ s_t
-
-
 def _node_rps(node_summary: dict, y: int) -> float:
     marginal = node_summary["marginal"]
     if marginal["dist"] == "gaussian":
@@ -507,7 +483,12 @@ def _node_rps(node_summary: dict, y: int) -> float:
 
 
 def run_score(cfg: ExperimentConfig, quiet: bool = False) -> ScoreReport:
-    """Score every configured method directory and write the report files."""
+    """Score every configured method directory and write the report files.
+
+    Every score comes from `summaries.json`; no stored joint is read. The
+    energy score, at exponent 2, is sum_i (E[X_i] - y_i)^2 over the stored
+    node means: there its two spread terms cancel exactly.
+    """
     h = cfg.hierarchy
     if not cfg.methods:
         raise ValueError("score config needs a methods -> output-dir mapping")
@@ -527,7 +508,6 @@ def run_score(cfg: ExperimentConfig, quiet: bool = False) -> ScoreReport:
     for method in sorted(cfg.methods):
         method_dir = cfg.resolve(cfg.methods[method])
         all_summaries = json.loads((method_dir / "summaries.json").read_text())
-        rng = np.random.default_rng(cfg.scoring.seed)
         for sid in sorted(obs):
             if sid not in all_summaries:
                 raise MissingActuals(f"method {method!r} has no reconciled output for series {sid!r}")
@@ -555,10 +535,9 @@ def run_score(cfg: ExperimentConfig, quiet: bool = False) -> ScoreReport:
                     no_scale += 1
                     continue
                 report.add(sid, level_name, "all", "mase", method, value)
-            batch_a, batch_b = _joint_batches(h, record, method_dir, sid,
-                                              cfg.scoring.es_batch, rng)
+            means = np.array([record["nodes"][label]["mean"] for label in h.node_labels])
             report.add(sid, "hierarchy", "all", "energy_score", method,
-                       scoring.energy_score(batch_a, batch_b, y_nodes, alpha_exp=2.0))
+                       np.sum((means - y_nodes) ** 2))
 
     if no_scale:
         warnings.warn(f"{no_scale} MASE cell(s) skipped: constant or single-block "
@@ -796,11 +775,15 @@ DEMO_NAMES = tuple(DEMOS)
 
 
 def demo(name: str, out_dir=None, seed: int | None = None, quiet: bool = False) -> bool:
-    """Run a named demo; prints checks, writes files, returns overall pass."""
+    """Run a named demo; prints checks, writes files, returns overall pass.
+
+    `seed` (default: RECONC_SEED, else 0) must be a non-negative integer.
+    """
     if name not in DEMOS:
         raise ValueError(f"unknown demo {name!r}; expected one of {DEMO_NAMES}")
     if seed is None:
-        seed = int(os.environ.get("RECONC_SEED", "0"))
+        seed = _env_seed() or 0
+    _integer("seed", seed, minimum=0)
     out = Path(out_dir) if out_dir is not None else Path(f"demo_{name}")
     out.mkdir(parents=True, exist_ok=True)
     if not quiet:

@@ -90,6 +90,9 @@ def energy_score(samples_a, samples_b, y, alpha_exp: float = 2.0) -> float:
 
     The first expectation averages over both batches; the second pairs the
     two independent batches row by row, keeping the estimate unbiased.
+    At a = 2 the two terms reduce exactly to sum_i (E[s_i] - y_i)^2, which
+    needs no samples: `harness.run_score` scores that closed form from the
+    stored node means and does not call this estimator.
     """
     a = np.atleast_2d(np.asarray(samples_a, dtype=float))
     b = np.atleast_2d(np.asarray(samples_b, dtype=float))

@@ -35,7 +35,7 @@ def write_config(path: Path, **overrides) -> Path:
         "observations": "obs.csv",
         "forecasts": harness.BUILTIN_FORECASTER,
         "sampler": {"chains": 2, "draws": 400, "thin": 5, "seed": 1},
-        "scoring": {"alpha": 0.1, "es_batch": 300, "baseline": "normal"},
+        "scoring": {"alpha": 0.1, "baseline": "normal"},
     }
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))

@@ -104,6 +104,20 @@ def test_env_seed_reaches_demo(tmp_path, monkeypatch, capsys):
     assert "seed 123" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args, env, message", [
+    (["--seed", "-2"], None, "seed must be >= 0, got -2"),
+    ([], "-1", "RECONC_SEED must be >= 0, got -1"),
+    ([], "abc", "RECONC_SEED must be an integer, got 'abc'"),
+])
+def test_demo_refuses_a_bad_seed_by_name(tmp_path, monkeypatch, capsys, args, env, message):
+    if env is not None:
+        monkeypatch.setenv("RECONC_SEED", env)
+    out = tmp_path / "d"
+    assert main(["demo", "poisson_table3", "--out", str(out), "--quiet", *args]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "reconc.cli", "hierarchy", "--bottom", "2", "--factors", "2"],

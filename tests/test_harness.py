@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,12 +15,10 @@ from reconc.errors import (
     InvalidAggregation,
     MissingActuals,
     MissingForecast,
-    MissingJoint,
     ObservationGap,
     SeriesTooShort,
 )
 from reconc.hierarchy import aggregate, build_temporal_hierarchy
-from reconc.scoring import energy_score
 
 
 def test_temporal_aggregate_quarterly_example():
@@ -117,29 +116,24 @@ def test_load_config_validations(tmp_path, monkeypatch):
         with pytest.raises(ValueError, match=rf"test_length must be >= 1, got {test_length}"):
             harness.load_config(p)
 
-    for es_batch in (0, -1):
-        p.write_text(json.dumps({"hierarchy": MONTHLY, "scoring": {"es_batch": es_batch}}))
-        with pytest.raises(ValueError, match=rf"scoring.es_batch must be >= 1, got {es_batch}"):
-            harness.load_config(p)
-
     for method in ("probCount_mcmc", "truncated"):
         p.write_text(json.dumps({"hierarchy": MONTHLY, "method": method,
                                  "sampler": {"seed": -1}}))
         with pytest.raises(ValueError, match=r"^sampler.seed must be >= 0, got -1$"):
             harness.load_config(p)
-    p.write_text(json.dumps({"hierarchy": MONTHLY, "scoring": {"seed": -5}}))
-    with pytest.raises(ValueError, match=r"^scoring.seed must be >= 0, got -5$"):
-        harness.load_config(p)
     p.write_text(json.dumps({"hierarchy": MONTHLY, "method": "probCount_mcmc",
                              "sampler": {"seed": 1}}))
     monkeypatch.setenv("RECONC_SEED", "-3")
     with pytest.raises(ValueError, match=r"^RECONC_SEED must be >= 0, got -3$"):
         harness.load_config(p)
+    monkeypatch.setenv("RECONC_SEED", "abc")
+    with pytest.raises(ValueError, match=r"^RECONC_SEED must be an integer, got 'abc'$"):
+        harness.load_config(p)
 
 
 @pytest.mark.parametrize("section, key", [
     (None, "test_length"), ("sampler", "chains"), ("sampler", "draws"), ("sampler", "burn_in"),
-    ("sampler", "thin"), ("sampler", "seed"), ("scoring", "es_batch"), ("scoring", "seed"),
+    ("sampler", "thin"), ("sampler", "seed"),
 ])
 def test_load_config_refuses_non_integer_counts(tmp_path, section, key):
     p = tmp_path / "cfg.json"
@@ -160,9 +154,37 @@ def test_env_seed_override(tmp_path, monkeypatch):
     }))
     assert harness.load_config(p).sampler.seed == 5
     monkeypatch.setenv("RECONC_SEED", "99")
-    cfg = harness.load_config(p)
-    assert cfg.sampler.seed == 99
-    assert cfg.scoring.seed == 99
+    assert harness.load_config(p).sampler.seed == 99
+
+
+def test_old_scoring_keys_are_ignored_with_a_warning(tmp_path):
+    obs = tmp_path / "obs.csv"
+    write_synthetic_observations(obs)
+    methods = {}
+    for method in ("normal", "base"):
+        cfg_path = write_config(tmp_path / f"cfg_{method}.json", method=method,
+                                output_dir=f"out_{method}")
+        methods[method] = str(harness.run_reconcile(harness.load_config(cfg_path), quiet=True))
+    scores = {}
+    for name, extra in (("new", {}), ("old", {"es_batch": 1000, "seed": 3})):
+        cfg_path = write_config(tmp_path / f"score_{name}.json", methods=methods,
+                                output_dir=f"scores_{name}",
+                                scoring={"alpha": 0.1, "baseline": "normal", **extra})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cfg = harness.load_config(cfg_path)
+        deprecations = [str(w.message) for w in caught if w.category is DeprecationWarning]
+        assert deprecations == [f"scoring.{key} is deprecated and ignored: the energy score "
+                                "is computed in closed form" for key in extra]
+        assert cfg.scoring == harness.ScoringSettings(alpha=0.1, baseline="normal")
+        harness.run_score(cfg, quiet=True)
+        scores[name] = [(tmp_path / f"scores_{name}" / f).read_bytes()
+                        for f in ("scores.csv", "skill.csv", "scores.json")]
+    assert scores["old"] == scores["new"]
+
+    cfg_path.write_text(json.dumps({"hierarchy": MONTHLY, "scoring": {"es_bacth": 1000}}))
+    with pytest.raises(TypeError, match="es_bacth"):
+        harness.load_config(cfg_path)
 
 
 def test_hierarchy_from_file(tmp_path):
@@ -406,9 +428,7 @@ def test_exact_record_keeps_only_atoms_with_mass(tmp_path):
 def _score_with_extra_series(tmp_path, sid, values, n_skipped):
     """Score the synthetic series, then again with series `sid` appended.
 
-    `sid` sorts last, so the energy-score draws of the other series come from
-    the same random stream as before and their rows must not change. Returns
-    the second report.
+    The rows of the other series must not change. Returns the second report.
     """
     obs = tmp_path / "obs.csv"
     write_synthetic_observations(obs)
@@ -509,6 +529,7 @@ def _demo_score_config(tmp_path, demo_dir):
 
 
 def _assert_scored_from_stored_joint(tmp_path, name):
+    """The energy score equals E||X - y||^2 - E||X - X'||^2 / 2 over the stored grid."""
     harness.demo(name, out_dir=tmp_path / "d", seed=0, quiet=True)
     cfg = harness.load_config(_demo_score_config(tmp_path, tmp_path / "d"))
     report = harness.run_score(cfg, quiet=True)
@@ -516,12 +537,13 @@ def _assert_scored_from_stored_joint(tmp_path, name):
 
     record = json.loads((tmp_path / "d" / "summaries.json").read_text())["series"]
     joint = harness._read_artifact(record, tmp_path / "d")
-    rng = np.random.default_rng(cfg.scoring.seed)
-    s_t = cfg.hierarchy.s_matrix.T
-    n = cfg.scoring.es_batch
-    batches = [joint.sample(n, rng) @ s_t for _ in range(2)]
+    x = joint.bottom_support @ cfg.hierarchy.s_matrix.T
+    p = joint.probabilities
     y = aggregate(cfg.hierarchy, np.array([3, 6]))
-    assert es == [energy_score(*batches, y, alpha_exp=2.0)]
+    to_obs = p @ ((x - y) ** 2).sum(axis=1)
+    spread = p @ (((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2) @ p)
+    assert len(es) == 1
+    assert es[0] == pytest.approx(to_obs - spread / 2, rel=1e-9)
 
 
 def test_score_demo_dir_uses_the_stored_exact_joint(tmp_path):
@@ -532,15 +554,47 @@ def test_minimal_demo_dir_is_scored_like_the_others(tmp_path):
     _assert_scored_from_stored_joint(tmp_path, "minimal_table2")
 
 
-def test_score_refuses_a_record_without_its_joint(tmp_path):
-    harness.demo("poisson_table3", out_dir=tmp_path / "d", seed=0, quiet=True)
-    summaries_path = tmp_path / "d" / "summaries.json"
-    summaries = json.loads(summaries_path.read_text())
-    del summaries["series"]["joint_file"]
-    summaries_path.write_text(json.dumps(summaries))
-    with pytest.raises(MissingJoint):
-        harness.run_score(harness.load_config(_demo_score_config(tmp_path, tmp_path / "d")),
-                          quiet=True)
+def test_score_reads_no_stored_joint(tmp_path):
+    run_benchmark(tmp_path)
+    scores_dir = tmp_path / "out_scores"
+    names = ("scores.csv", "skill.csv", "scores.json")
+    before = [(scores_dir / name).read_bytes() for name in names]
+    for method in ("probCount_mcmc", "normal", "base"):
+        method_dir = tmp_path / f"out_{method}"
+        for artifact in [*method_dir.glob("joint_*.npz"), *method_dir.glob("samples_*.csv")]:
+            artifact.unlink()
+        summaries = json.loads((method_dir / "summaries.json").read_text())
+        for record in summaries.values():
+            record.pop("joint_file", None)
+            record.pop("samples_file", None)
+        (method_dir / "summaries.json").write_text(json.dumps(summaries))
+    assert not list(tmp_path.glob("out_*/joint_*")) and not list(tmp_path.glob("out_*/samples_*"))
+    for name in names:
+        (scores_dir / name).unlink()
+    harness.run_score(harness.load_config(tmp_path / "cfg_score.json"), quiet=True)
+    assert [(scores_dir / name).read_bytes() for name in names] == before
+
+
+@pytest.mark.parametrize("method", ["probCount_exact", "normal", "structural_scaling", "base"])
+def test_a_new_series_changes_no_score_of_the_others(tmp_path, method):
+    obs = tmp_path / "obs.csv"
+    write_synthetic_observations(obs)
+    h_cfg = {"bottom_period_count": 4, "factors": [2, 4]}
+    rec_path = write_config(tmp_path / "rec.json", hierarchy=h_cfg, method=method,
+                            output_dir="out")
+    score_cfg = harness.load_config(write_config(
+        tmp_path / "score.json", hierarchy=h_cfg, methods={method: "out"}, output_dir="scores"))
+    harness.run_reconcile(harness.load_config(rec_path), quiet=True)
+    before = harness.run_score(score_cfg, quiet=True).rows
+
+    # "aaa_new" sorts before every existing series
+    values = [t % 3 + t % 2 for t in range(48)]
+    with open(obs, "a") as fh:
+        fh.writelines(f"aaa_new,{t},{v}\n" for t, v in enumerate(values))
+    harness.run_reconcile(harness.load_config(rec_path), quiet=True)
+    rows = harness.run_score(score_cfg, quiet=True).rows
+    assert [r for r in rows if r["series"] == "aaa_new"]
+    assert [r for r in rows if r["series"] != "aaa_new"] == before
 
 
 def test_demo_unknown_name():
