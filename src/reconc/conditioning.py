@@ -137,6 +137,52 @@ class CountJoint:
         return self.bottom_support[idx]
 
 
+def _exact_grid(h: Hierarchy, base: BaseForecastSet, epsilon: float, cell_cap: int,
+                upper: list[CountPmf | None]) -> np.ndarray:
+    """Bottom-up probabilities conditioned on `upper`, one axis per bottom (C order).
+
+    Each present evidence multiplies in as a table over the axes of its A
+    row, broadcast over the others, and the grid is renormalized after each:
+    cell by cell the arithmetic of bottom_up_exact and condition_on_upper,
+    so the values are equal to the bit. SupportTooLarge is raised before any
+    grid is allocated.
+    """
+    base.validate(h)
+    sizes = [pmf.quantile_truncate(epsilon) + 1 for pmf in base.bottom]
+    n_cells = math.prod(sizes)
+    if n_cells > cell_cap:
+        raise SupportTooLarge(
+            f"product support has {n_cells:.3g} cells (cap {cell_cap}); "
+            "use reconcile_mcmc instead"
+        )
+    marginals = [pmf.pmf(np.arange(s)) for pmf, s in zip(base.bottom, sizes)]
+    grid = reduce(np.multiply.outer, marginals).reshape(-1)
+    grid /= grid.sum()
+    grid = grid.reshape(sizes)
+    for i, evidence in enumerate(upper):
+        if evidence is None:
+            continue
+        in_row = h.a_matrix[i] == 1
+        sums = reduce(np.add.outer, [np.arange(s) for s, on in zip(sizes, in_row) if on])
+        table = evidence.pmf(np.arange(sums.max() + 1))[sums]
+        grid *= table.reshape(tuple(np.where(in_row, sizes, 1)))
+        total = grid.sum()
+        if total <= 0:
+            raise IncompatibleEvidence(
+                f"evidence for upper node {i} has no mass on reachable sums"
+            )
+        grid /= total
+    return grid
+
+
+def _grid_joint(grid: np.ndarray) -> CountJoint:
+    """The joint with one atom per cell of a probability grid, in C order."""
+    # column-major view of the C-order index grid; a full grid written by
+    # np.savez_compressed (the demos) then deflates column by column, which is fast
+    support = np.indices(grid.shape, dtype=np.int64).reshape(grid.ndim, -1).T
+    return CountJoint(support, grid.reshape(-1))
+
+
 def bottom_up_exact(
     h: Hierarchy,
     base: BaseForecastSet,
@@ -153,20 +199,7 @@ def bottom_up_exact(
     Raises:
         SupportTooLarge: the grid would exceed cell_cap cells.
     """
-    base.validate(h)
-    sizes = [pmf.quantile_truncate(epsilon) + 1 for pmf in base.bottom]
-    n_cells = math.prod(sizes)
-    if n_cells > cell_cap:
-        raise SupportTooLarge(
-            f"product support has {n_cells:.3g} cells (cap {cell_cap}); "
-            "use reconcile_mcmc instead"
-        )
-    marginals = [pmf.pmf(np.arange(s)) for pmf, s in zip(base.bottom, sizes)]
-    probs = reduce(np.multiply.outer, marginals).reshape(-1)
-    # column-major view of the C-order index grid; a full grid written by
-    # np.savez_compressed (the demos) then deflates column by column, which is fast
-    support = np.indices(sizes, dtype=np.int64).reshape(h.m, -1).T
-    return CountJoint(support, probs / probs.sum())
+    return _grid_joint(_exact_grid(h, base, epsilon, cell_cap, upper=[]))
 
 
 def condition_on_upper(
@@ -176,7 +209,8 @@ def condition_on_upper(
 
     Atom b is reweighted by the evidence mass at its aggregate value
     A[upper_index] @ b, then the joint is renormalized. Atoms with zero
-    probability keep it: conditioning never revives them.
+    probability keep it: conditioning never revives them. This is the
+    per-atom reference for the grid updates of reconcile_exact.
 
     Raises:
         IncompatibleEvidence: the evidence puts zero mass on every aggregate
@@ -204,12 +238,36 @@ def reconcile_exact(
 
     Updates are applied in A-row order; the order does not matter because
     virtual-evidence updates commute. Absent upper forecasts are skipped.
+    Every cell of the bottom_up_exact grid stays an atom, so this is the
+    oracle the samplers are tested against. The updates run on the grid, one
+    broadcast evidence table each, and give to the bit the probabilities of
+    condition_on_upper applied in the same order.
     """
-    joint = bottom_up_exact(h, base, epsilon=epsilon, cell_cap=cell_cap)
-    for i, evidence in enumerate(base.upper):
-        if evidence is not None:
-            joint = condition_on_upper(joint, h, i, evidence)
-    return joint
+    return _grid_joint(_exact_grid(h, base, epsilon, cell_cap, base.upper))
+
+
+def _trim(p: np.ndarray, at_edge: np.ndarray) -> tuple[np.ndarray, np.ndarray, TrimDiagnostics]:
+    """trim_joint's rule on atom probabilities and their edge mask.
+
+    Returns the mask of the kept atoms, their renormalized probabilities and
+    the diagnostics.
+    """
+    edge_mass = float(p[at_edge].sum())
+    if edge_mass > EDGE_MASS_WARN:
+        warnings.warn(
+            f"exact joint holds {edge_mass:.3g} of its mass at the top cell of a truncated "
+            f"bottom grid (warning above {EDGE_MASS_WARN:g}); the grid cuts posterior mass",
+            TruncationWarning,
+            stacklevel=3,
+        )
+    ascending = np.sort(p)
+    cumulative = np.cumsum(ascending)
+    # the lightest atom whose running total passes ATOM_TOL is the lightest one kept
+    keep = p >= ascending[np.searchsorted(cumulative, ATOM_TOL, side="right")]
+    n_dropped = len(p) - np.count_nonzero(keep)
+    dropped_mass = float(cumulative[n_dropped - 1]) if n_dropped else 0.0
+    kept = p[keep]
+    return keep, kept / kept.sum(), TrimDiagnostics(dropped_mass, edge_mass)
 
 
 def trim_joint(joint: CountJoint, bottom: list[CountPmf]) -> CountJoint:
@@ -221,7 +279,8 @@ def trim_joint(joint: CountJoint, bottom: list[CountPmf]) -> CountJoint:
     renormalized. The diagnostics record the dropped mass and the edge
     mass: the mass, before trimming, on atoms where some bottom j sits at
     the grid's top cell while its pmf `bottom[j]` has mass beyond it. A
-    large edge mass means the truncated grid cut posterior mass.
+    large edge mass means the truncated grid cut posterior mass. This is
+    the per-atom reference for _reconcile_exact_trimmed.
 
     Warns:
         TruncationWarning: edge mass above EDGE_MASS_WARN.
@@ -232,22 +291,24 @@ def trim_joint(joint: CountJoint, bottom: list[CountPmf]) -> CountJoint:
     for j, pmf in enumerate(bottom):
         if pmf.pmf(tops[j] + 1) > 0:
             at_edge |= support[:, j] == tops[j]
-    edge_mass = float(p[at_edge].sum())
-    if edge_mass > EDGE_MASS_WARN:
-        warnings.warn(
-            f"exact joint holds {edge_mass:.3g} of its mass at the top cell of a truncated "
-            f"bottom grid (warning above {EDGE_MASS_WARN:g}); the grid cuts posterior mass",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    ascending = np.sort(p)
-    cumulative = np.cumsum(ascending)
-    # the lightest atom whose running total passes ATOM_TOL is the lightest one kept
-    keep = p >= ascending[np.searchsorted(cumulative, ATOM_TOL, side="right")]
-    n_dropped = len(p) - np.count_nonzero(keep)
-    dropped_mass = float(cumulative[n_dropped - 1]) if n_dropped else 0.0
-    kept = p[keep]
-    return CountJoint(support[keep], kept / kept.sum(), TrimDiagnostics(dropped_mass, edge_mass))
+    keep, kept, diagnostics = _trim(p, at_edge)
+    return CountJoint(support[keep], kept, diagnostics)
+
+
+def _reconcile_exact_trimmed(h: Hierarchy, base: BaseForecastSet) -> CountJoint:
+    """trim_joint(reconcile_exact(h, base), base.bottom), equal to the bit.
+
+    The edge mask is set along the grid's axes and support rows are built
+    for the kept atoms only, so the full support is never allocated.
+    """
+    grid = _exact_grid(h, base, DEFAULT_EPSILON, DEFAULT_CELL_CAP, base.upper)
+    at_edge = np.zeros(grid.shape, dtype=bool)
+    for j, pmf in enumerate(base.bottom):
+        if pmf.pmf(grid.shape[j]) > 0:
+            np.moveaxis(at_edge, j, 0)[-1] = True
+    keep, kept, diagnostics = _trim(grid.reshape(-1), at_edge.reshape(-1))
+    support = np.stack(np.unravel_index(np.flatnonzero(keep), grid.shape), axis=1)
+    return CountJoint(support, kept, diagnostics)
 
 
 def _mcmc_tables(h: Hierarchy, base: BaseForecastSet):

@@ -334,10 +334,11 @@ def _write_artifact(out_dir: Path, h: Hierarchy, method: str, sid: str, joint) -
 
     Sampler draws go to a CSV, one equal-weight atom per row in draw order;
     any other joint goes to a compressed .npz holding its arrays by field name.
-    A joint's diagnostics go to the record.
+    A joint's diagnostics go to the record; `base` stores no joint, only the
+    diagnostics that reconcile_series returns for it.
     """
     if method == "base":
-        return {}
+        return {"diagnostics": joint}
     if method in STOCHASTIC_METHODS:
         fname = f"samples_{sid}.csv"
         header = io.StringIO()
@@ -374,7 +375,11 @@ def _read_artifact(record: dict, method_dir: Path):
 
 def reconcile_series(h: Hierarchy, method: str, entries: dict[str, dict],
                      sampler: SamplerSettings, alpha: float, seed: int):
-    """Reconcile one series; returns (node summaries, joint artifact)."""
+    """Reconcile one series; returns (node summaries, joint artifact).
+
+    `base` has no joint: its artifact is the record's diagnostics, the tail
+    mass of each count forecast cut off by tabulating it.
+    """
     if method in ("normal", "structural_scaling"):
         base = _gaussian_forecasts(h, entries)
         spec = mint.StructuralScaling() if method == "structural_scaling" else mint.HierarchyVariance()
@@ -386,7 +391,7 @@ def reconcile_series(h: Hierarchy, method: str, entries: dict[str, dict],
         return summaries, rec
 
     if method == "base":
-        summaries = {}
+        summaries, dropped = {}, {}
         for label in h.node_labels:
             if label not in entries:
                 raise MissingForecast(f"base method needs a forecast for node {label!r}")
@@ -394,16 +399,20 @@ def reconcile_series(h: Hierarchy, method: str, entries: dict[str, dict],
             if entry.get("dist") == "gaussian":
                 g = gaussian_from_dict(entry)
                 summaries[label] = _gaussian_node_summary(g.mean, g.variance, alpha)
-            else:
-                pmf = count_pmf_from_dict(entry)
-                if not isinstance(pmf, Tabulated):
-                    pmf = Tabulated.from_weights(pmf.pmf(np.arange(pmf.quantile_truncate() + 1)))
-                summaries[label] = MarginalSummary.of(label, pmf, alpha).to_dict()
-        return summaries, None
+                continue
+            pmf = count_pmf_from_dict(entry)
+            table, dropped[label] = pmf, 0.0
+            if not isinstance(pmf, Tabulated):
+                weights = pmf.pmf(np.arange(pmf.quantile_truncate() + 1))
+                table = Tabulated.from_weights(weights)
+                dropped[label] = max(1.0 - float(weights.sum()), 0.0)
+            summaries[label] = {**MarginalSummary.of(label, table, alpha).to_dict(),
+                                "mean": float(pmf.mean()), "variance": float(pmf.variance())}
+        return summaries, {"dropped_mass": dropped}
 
     if method == "probCount_exact":
         base = _count_forecast_set(h, entries)
-        joint = conditioning.trim_joint(conditioning.reconcile_exact(h, base), base.bottom)
+        joint = conditioning._reconcile_exact_trimmed(h, base)
     elif method == "probCount_mcmc":
         joint = conditioning.reconcile_mcmc(
             h, _count_forecast_set(h, entries), n_chains=sampler.chains,

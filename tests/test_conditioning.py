@@ -1,11 +1,13 @@
 """Tests for exact count reconciliation by virtual-evidence conditioning."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from reconc import harness
 from reconc.conditioning import (
     BaseForecastSet,
     CountJoint,
@@ -24,6 +26,7 @@ from reconc.errors import (
     UndefinedCorrelation,
 )
 from reconc.hierarchy import aggregate, build_temporal_hierarchy, is_coherent
+from test_agreement import SEEDS, random_case
 
 MINIMAL = build_temporal_hierarchy(2, [2])
 H421 = build_temporal_hierarchy(4, [2, 4])
@@ -426,3 +429,90 @@ def test_edge_mass_ignores_bottoms_the_grid_does_not_cut():
         warnings.simplefilter("error")
         trimmed = trim_joint(reconcile_exact(MINIMAL, base), base.bottom)
     assert trimmed.diagnostics.edge_mass < 1e-9
+
+
+# every random_case of the agreement suite, and the small temporal cases
+EXACT_CASES = [f"random_{seed}" for seed in SEEDS] + ["minimal", "minimal_uniform", "h421"]
+
+
+def exact_case(name):
+    if name.startswith("random_"):
+        return random_case(int(name.removeprefix("random_")))
+    if name == "m6":
+        return m6_poisson_case()
+    return {
+        "minimal": (MINIMAL, poisson_249()),
+        "minimal_uniform": (MINIMAL, BaseForecastSet(uniform_pair().bottom,
+                                                     [Tabulated(np.array([0.5, 0.2, 0.3]))])),
+        "h421": (H421, h421_poisson_case()),
+    }[name]
+
+
+@pytest.mark.parametrize("case", EXACT_CASES)
+def test_reconcile_exact_equals_the_per_atom_chain_to_the_bit(case):
+    h, base = exact_case(case)
+    chain = bottom_up_exact(h, base)
+    for i, evidence in enumerate(base.upper):
+        if evidence is not None:
+            chain = condition_on_upper(chain, h, i, evidence)
+    grid = reconcile_exact(h, base)
+    assert np.array_equal(grid.bottom_support, chain.bottom_support)
+    assert grid.bottom_support.strides == chain.bottom_support.strides
+    assert np.array_equal(grid.probabilities, chain.probabilities)
+
+
+def _pipeline_exact(h, base, entries=None):
+    """The probCount_exact joint that harness.reconcile_series stores."""
+    if entries is None:
+        entries = {label: pmf.to_dict() for label, pmf in
+                   zip(h.node_labels, base.upper + base.bottom) if pmf is not None}
+    _, joint = harness.reconcile_series(h, "probCount_exact", entries,
+                                        harness.SamplerSettings(), 0.1, 0)
+    return joint
+
+
+@pytest.mark.parametrize("case", EXACT_CASES + ["m6"])
+def test_pipeline_trims_like_trim_joint_of_the_full_grid(case):
+    h, base = exact_case(case)
+    with warnings.catch_warnings(record=True) as reference_warnings:
+        warnings.simplefilter("always")
+        expected = trim_joint(reconcile_exact(h, base), base.bottom)
+    with warnings.catch_warnings(record=True) as pipeline_warnings:
+        warnings.simplefilter("always")
+        got = _pipeline_exact(h, base)
+    assert [str(w.message) for w in pipeline_warnings] == [
+        str(w.message) for w in reference_warnings]
+    assert got.bottom_support.dtype == expected.bottom_support.dtype
+    assert got.bottom_support.flags.c_contiguous and expected.bottom_support.flags.c_contiguous
+    assert np.array_equal(got.bottom_support, expected.bottom_support)
+    assert np.array_equal(got.probabilities, expected.probabilities)
+    assert got.diagnostics.to_dict() == expected.diagnostics.to_dict()
+
+
+def test_pipeline_refuses_an_oversized_grid_before_allocating_it():
+    # each bottom grid has about 2e5 cells, so the product has about 4e10
+    h, base = MINIMAL, BaseForecastSet([Poisson(2e5)] * 2, [Poisson(4e5)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(SupportTooLarge, match="cap 10000000"):
+            _pipeline_exact(h, base)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_pipeline_refuses_evidence_without_mass_on_reachable_sums():
+    entries = {"b1": {"dist": "tabulated", "probs": [0.5, 0.5]},
+               "b2": {"dist": "tabulated", "probs": [0.5, 0.5]},
+               "agg2_1": {"dist": "tabulated", "probs": [0.0] * 7 + [1.0]}}
+    with pytest.raises(IncompatibleEvidence, match="upper node 0"):
+        _pipeline_exact(MINIMAL, None, entries)
+
+
+def test_pipeline_warns_where_the_grid_cuts_posterior_mass():
+    far = BaseForecastSet([Poisson(2.0), Poisson(4.0)], [Poisson(40.0)])
+    with pytest.warns(TruncationWarning, match="top cell of a truncated bottom grid") as caught:
+        joint = _pipeline_exact(MINIMAL, far)
+    assert caught[0].filename.endswith("harness.py")  # points at the caller
+    assert joint.diagnostics.edge_mass == pytest.approx(1.4e-4, rel=0.05)

@@ -11,6 +11,7 @@ import pytest
 
 from helpers import MONTHLY, run_benchmark, write_config, write_synthetic_observations
 from reconc import conditioning, harness
+from reconc.distributions import Poisson
 from reconc.errors import (
     InvalidAggregation,
     MissingActuals,
@@ -337,8 +338,9 @@ def test_written_artifacts_read_back_to_the_same_joint(tmp_path):
         _, joint = harness.reconcile_series(cfg.hierarchy, method, forecasts, cfg.sampler,
                                             cfg.scoring.alpha, cfg.sampler.seed)
         back = harness._read_artifact(record, out)
-        if joint is None:
+        if method == "base":  # no joint: the artifact is the record's diagnostics
             assert back is None
+            assert record["diagnostics"] == joint
             continue
         assert_same_fields(back, joint)
         if method in ("probCount_exact", "normal"):
@@ -498,6 +500,38 @@ def test_scoring_method_against_itself_gives_zero_skill(tmp_path):
     report = harness.run_score(harness.load_config(score_cfg), quiet=True)
     for row in report.skill_rows:
         assert row["skill"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_base_states_the_forecasts_own_moments_and_its_cut_tails(tmp_path):
+    # the builtin forecaster gives coherent Poisson means, so base and normal
+    # share every node mean and hence the energy score
+    write_synthetic_observations(tmp_path / "obs.csv")
+    h_cfg = {"bottom_period_count": 6, "factors": [2, 3, 6]}
+    methods = {}
+    for method in ("normal", "base"):
+        cfg = write_config(tmp_path / f"cfg_{method}.json", hierarchy=h_cfg, method=method,
+                           output_dir=method)
+        methods[method] = str(harness.run_reconcile(harness.load_config(cfg), quiet=True))
+    report = harness.run_score(harness.load_config(write_config(
+        tmp_path / "score.json", hierarchy=h_cfg, methods=methods, output_dir="scores")),
+        quiet=True)
+    energy = {r["method"]: r["value"] for r in report.rows
+              if r["series"] == "bursty" and r["metric"] == "energy_score"}
+    assert energy["base"] == pytest.approx(energy["normal"], rel=1e-12, abs=0)
+
+    record = json.loads((tmp_path / "base" / "summaries.json").read_text())["bursty"]
+    bursty = harness.read_observations(tmp_path / "obs.csv")["bursty"]
+    forecasts = harness.empirical_poisson_forecasts(bursty[:-6],
+                                                    build_temporal_hierarchy(6, [2, 3, 6]))
+    dropped = record["diagnostics"]["dropped_mass"]
+    assert set(dropped) == set(forecasts)
+    for label, forecast in forecasts.items():
+        node = record["nodes"][label]
+        assert node["mean"] == node["variance"] == forecast["lambda"]
+        probs = node["marginal"]["probs"]
+        assert 0 < dropped[label] <= 1e-9  # the tail past the 1 - 1e-9 quantile
+        assert dropped[label] == pytest.approx(
+            1 - sum(Poisson(forecast["lambda"]).pmf(np.arange(len(probs)))), rel=1e-6)
 
 
 def test_demo_minimal_table2(tmp_path):
