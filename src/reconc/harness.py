@@ -494,9 +494,11 @@ def _node_rps(node_summary: dict, y: int) -> float:
 def run_score(cfg: ExperimentConfig, quiet: bool = False) -> ScoreReport:
     """Score every configured method directory and write the report files.
 
-    Every score comes from `summaries.json`; no stored joint is read. The
-    energy score, at exponent 2, is sum_i (E[X_i] - y_i)^2 over the stored
-    node means: there its two spread terms cancel exactly.
+    Each series is checked once, before any method's outputs are read: it
+    must hold the test window plus two training periods, and h must be
+    temporal. Every score comes from `summaries.json`, never a stored joint.
+    The energy score, at exponent 2, is sum_i (E[X_i] - y_i)^2 over the
+    stored node means: there its two spread terms cancel exactly.
     """
     h = cfg.hierarchy
     if not cfg.methods:
@@ -509,49 +511,49 @@ def run_score(cfg: ExperimentConfig, quiet: bool = False) -> ScoreReport:
         raise MissingActuals(
             f"the test window must cover one bottom cycle of {h.m} periods, got {test_len}"
         )
+    series_ids = sorted(obs)
+    truths = {}  # per series: (node actuals, training block sums per level)
+    for sid in series_ids:
+        values = obs[sid]
+        if len(values) < test_len + 2:
+            raise SeriesTooShort(f"series {sid!r} is too short to score")
+        truths[sid] = aggregate(h, values[-test_len:]), temporal_aggregate(values[:-test_len], h)
     alpha = cfg.scoring.alpha
     levels = node_levels(h)
+    ends = np.cumsum([count for _, count, _ in h.level_sizes])  # levels are contiguous
+    level_spans = [(name, slice(end - count, end))
+                   for (name, count, _), end in zip(h.level_sizes, ends)]
     report = ScoreReport()
     no_scale = 0
 
     for method in sorted(cfg.methods):
         method_dir = cfg.resolve(cfg.methods[method])
         all_summaries = json.loads((method_dir / "summaries.json").read_text())
-        for sid in sorted(obs):
+        for sid in series_ids:
             if sid not in all_summaries:
                 raise MissingActuals(f"method {method!r} has no reconciled output for series {sid!r}")
-            record = all_summaries[sid]
-            values = obs[sid]
-            if len(values) < test_len + 2:
-                raise SeriesTooShort(f"series {sid!r} is too short to score")
-            train, test = values[:-test_len], values[-test_len:]
-            y_nodes = aggregate(h, test)
-            train_levels = temporal_aggregate(train, h)
-
-            for i, label in enumerate(h.node_labels):
-                level, horizon = levels[i]
-                node = record["nodes"][label]
-                report.add(sid, level, horizon, "rps", method, _node_rps(node, int(y_nodes[i])))
+            nodes = [all_summaries[sid]["nodes"][label] for label in h.node_labels]
+            y_nodes, train_levels = truths[sid]
+            for node, (level, horizon), y in zip(nodes, levels, y_nodes):
+                report.add(sid, level, horizon, "rps", method, _node_rps(node, int(y)))
                 lo, hi = node["interval"]
-                report.add(sid, level, horizon, "mis", method,
-                           scoring.mis(lo, hi, float(y_nodes[i]), alpha))
-            for level_name, count, _ in h.level_sizes:
-                idx = [i for i, (lvl, _) in enumerate(levels) if lvl == level_name]
-                medians = [record["nodes"][h.node_labels[i]]["median"] for i in idx]
+                report.add(sid, level, horizon, "mis", method, scoring.mis(lo, hi, float(y), alpha))
+            for level_name, span in level_spans:
+                medians = [node["median"] for node in nodes[span]]
                 try:
-                    value = scoring.mase(y_nodes[idx], medians, train_levels[level_name])
+                    value = scoring.mase(y_nodes[span], medians, train_levels[level_name])
                 except UndefinedScale:
                     no_scale += 1
                     continue
                 report.add(sid, level_name, "all", "mase", method, value)
-            means = np.array([record["nodes"][label]["mean"] for label in h.node_labels])
+            means = np.array([node["mean"] for node in nodes])
             report.add(sid, "hierarchy", "all", "energy_score", method,
                        np.sum((means - y_nodes) ** 2))
 
     if no_scale:
         warnings.warn(f"{no_scale} MASE cell(s) skipped: constant or single-block "
                       "training level, no scale", stacklevel=2)
-    _add_skill_rows(report, cfg, h, obs)
+    _add_skill_rows(report, cfg, h, series_ids)
     out_dir = cfg.resolve(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report.to_csv(out_dir / "scores.csv")
@@ -562,60 +564,52 @@ def run_score(cfg: ExperimentConfig, quiet: bool = False) -> ScoreReport:
     return report
 
 
-def _mean_skill(cells: dict, metric: str, level: str, method: str,
-                baseline: str, series_ids, horizons) -> float:
-    """Per-series, per-horizon skill averaged over horizons then series.
+def _add_skill_rows(report: ScoreReport, cfg: ExperimentConfig, h: Hierarchy, series_ids):
+    """Add each method's skill against the baseline per metric and level.
 
-    `cells` maps (series, level, horizon, metric, method) to a score value;
-    a cell missing for the method or the baseline is skipped.
+    Skill is taken per series and horizon, averaged over horizons then
+    series; a cell missing for the method or the baseline is skipped.
     """
-    per_series = []
-    undefined = 0
-    for sid in series_ids:
-        per_h = []
-        for hz in horizons:
-            b = cells.get((sid, level, hz, metric, baseline))
-            m = cells.get((sid, level, hz, metric, method))
-            if b is None or m is None:
-                continue
-            try:
-                per_h.append(scoring.skill_score(b, m))
-            except UndefinedSkill:
-                per_h.append(0.0)
-                undefined += 1
-        if per_h:
-            per_series.append(float(np.mean(per_h)))
-    if undefined:
-        warnings.warn(
-            f"{undefined} undefined skill cell(s) for {metric}/{level}/{method} "
-            "(both metrics zero) reported as 0",
-            stacklevel=2,
-        )
-    return float(np.mean(per_series)) if per_series else float("nan")
-
-
-def _add_skill_rows(report: ScoreReport, cfg: ExperimentConfig, h: Hierarchy, obs):
     baseline = cfg.scoring.baseline
     methods = [m for m in sorted(cfg.methods) if m != baseline]
     if baseline not in cfg.methods or not methods:
         return
-    series_ids = sorted(obs)
     cells = {(r["series"], r["level"], r["horizon"], r["metric"], r["method"]): r["value"]
              for r in report.rows}
+
+    def add_skill(metric: str, level: str, method: str, horizons) -> float:
+        per_series, undefined = [], 0
+        for sid in series_ids:
+            per_h = []
+            for hz in horizons:
+                b = cells.get((sid, level, hz, metric, baseline))
+                m = cells.get((sid, level, hz, metric, method))
+                if b is None or m is None:
+                    continue
+                try:
+                    per_h.append(scoring.skill_score(b, m))
+                except UndefinedSkill:
+                    per_h.append(0.0)
+                    undefined += 1
+            if per_h:
+                per_series.append(float(np.mean(per_h)))
+        if undefined:
+            warnings.warn(f"{undefined} undefined skill cell(s) for {metric}/{level}/{method} "
+                          "(both metrics zero) reported as 0",
+                          stacklevel=4)  # the caller of run_score
+        skill = float(np.mean(per_series)) if per_series else float("nan")
+        report.add_skill(metric, level, method, baseline, skill)
+        return skill
+
     for method in methods:
         for metric in ("mase", "rps", "mis"):
-            level_skills = []
+            level_skills = []  # a loop: before 3.12 a comprehension adds a frame to stacklevel
             for level_name, count, _ in h.level_sizes:
                 horizons = ["all"] if metric == "mase" else list(range(1, count + 1))
-                val = _mean_skill(cells, metric, level_name, method, baseline,
-                                  series_ids, horizons)
-                report.add_skill(metric, level_name, method, baseline, val)
-                level_skills.append(val)
+                level_skills.append(add_skill(metric, level_name, method, horizons))
             report.add_skill(metric, "average", method, baseline,
                              float(np.nanmean(level_skills)))
-        es = _mean_skill(cells, "energy_score", "hierarchy", method, baseline,
-                         series_ids, ["all"])
-        report.add_skill("energy_score", "hierarchy", method, baseline, es)
+        add_skill("energy_score", "hierarchy", method, ["all"])
 
 
 def format_skill_table(report: ScoreReport) -> str:

@@ -7,8 +7,26 @@ from pathlib import Path
 import numpy as np
 
 from reconc import harness
+from reconc.conditioning import BaseForecastSet
+from reconc.distributions import Poisson
+from reconc.hierarchy import build_temporal_hierarchy
 
 MONTHLY = {"bottom_period_count": 12, "factors": [2, 3, 4, 6, 12]}
+
+MINIMAL = build_temporal_hierarchy(2, [2])
+H421 = build_temporal_hierarchy(4, [2, 4])
+
+# ground-truth moments for Poisson bottoms (2, 4) conditioned on an
+# aggregate Poisson(9) evidence, from 50-digit enumeration over 0..80^2
+GROUND_TRUTH = {
+    "means": {"b1": 2.3646303986, "b2": 4.7292607972, "agg2_1": 7.0938911958},
+    "vars": {"b1": 1.9849433438, "b2": 3.2105125780, "agg2_1": 3.6767077026},
+}
+
+
+def poisson_249():
+    """The worked example: Poisson(2), Poisson(4) bottoms and Poisson(9) evidence."""
+    return BaseForecastSet([Poisson(2.0), Poisson(4.0)], [Poisson(9.0)])
 
 
 def write_synthetic_observations(path: Path, n_years: int = 4, seed: int = 0) -> list[str]:

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import run_benchmark
+from helpers import GROUND_TRUTH, H421, MINIMAL, poisson_249, run_benchmark
 from reconc import harness
 from reconc.conditioning import (
     BaseForecastSet,
@@ -35,21 +35,8 @@ from reconc.hierarchy import build_temporal_hierarchy
 from reconc.mint import mint_g, reconcile_gaussian, HierarchyVariance
 from reconc.scoring import energy_score, mis, rps_discrete, skill_score
 
-MINIMAL = build_temporal_hierarchy(2, [2])
-H421 = build_temporal_hierarchy(4, [2, 4])
-
-GROUND_TRUTH = {  # 50-digit enumeration over supports 0..80
-    "means": {"b1": 2.3646303986, "b2": 4.7292607972, "agg2_1": 7.0938911958},
-    "vars": {"b1": 1.9849433438, "b2": 3.2105125780, "agg2_1": 3.6767077026},
-}
-
-
 def announce(criterion, passed, detail):
     print(f"\ncriterion {criterion}: {'PASS' if passed else 'FAIL'} - {detail}")
-
-
-def poisson_249():
-    return BaseForecastSet([Poisson(2.0), Poisson(4.0)], [Poisson(9.0)])
 
 
 def test_criterion_1_minimal_cells_exact():

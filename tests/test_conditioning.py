@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import GROUND_TRUTH, H421, MINIMAL, poisson_249
 from reconc import harness
 from reconc.conditioning import (
     BaseForecastSet,
@@ -28,23 +29,13 @@ from reconc.errors import (
 from reconc.hierarchy import aggregate, build_temporal_hierarchy, is_coherent
 from test_agreement import SEEDS, random_case
 
-MINIMAL = build_temporal_hierarchy(2, [2])
-H421 = build_temporal_hierarchy(4, [2, 4])
-
-# ground-truth moments for Poisson bottoms (2, 4) conditioned on an
-# aggregate Poisson(9) evidence, from 50-digit enumeration over 0..80^2
-EXACT_MEANS = {"b1": 2.3646303986, "b2": 4.7292607972, "agg2_1": 7.0938911958}
-EXACT_VARS = {"b1": 1.9849433438, "b2": 3.2105125780, "agg2_1": 3.6767077026}
+# reconciled correlation of the poisson_249 bottoms, from the enumeration of GROUND_TRUTH
 EXACT_CORR = -0.3008115729
 
 
 def uniform_pair():
     half = Tabulated(np.array([0.5, 0.5]))
     return BaseForecastSet([half, half], [None])
-
-
-def poisson_249():
-    return BaseForecastSet([Poisson(2.0), Poisson(4.0)], [Poisson(9.0)])
 
 
 def test_bottom_up_uniform_cells():
@@ -172,9 +163,9 @@ def test_reconcile_exact_refuses_zero_epsilon():
 
 def test_reconcile_exact_matches_enumeration_ground_truth():
     summaries = summarize(reconcile_exact(MINIMAL, poisson_249()), MINIMAL)
-    for label in EXACT_MEANS:
-        assert summaries[label].mean == pytest.approx(EXACT_MEANS[label], abs=1e-6)
-        assert summaries[label].variance == pytest.approx(EXACT_VARS[label], abs=1e-6)
+    for label, mean in GROUND_TRUTH["means"].items():
+        assert summaries[label].mean == pytest.approx(mean, abs=1e-6)
+        assert summaries[label].variance == pytest.approx(GROUND_TRUTH["vars"][label], abs=1e-6)
 
 
 def test_no_evidence_equals_bottom_up():

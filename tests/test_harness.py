@@ -430,7 +430,8 @@ def test_exact_record_keeps_only_atoms_with_mass(tmp_path):
 def _score_with_extra_series(tmp_path, sid, values, n_skipped):
     """Score the synthetic series, then again with series `sid` appended.
 
-    The rows of the other series must not change. Returns the second report.
+    The rows of the other series must not change. Returns the second report
+    and the warnings it raised.
     """
     obs = tmp_path / "obs.csv"
     write_synthetic_observations(obs)
@@ -448,14 +449,14 @@ def _score_with_extra_series(tmp_path, sid, values, n_skipped):
     for method in methods:
         harness.run_reconcile(harness.load_config(tmp_path / f"cfg_{method}.json"), quiet=True)
     with pytest.warns(UserWarning, match=rf"^{n_skipped} MASE cell\(s\) skipped: "
-                                         "constant or single-block training level"):
+                                         "constant or single-block training level") as caught:
         report = harness.run_score(score_cfg, quiet=True)
     assert [r for r in report.rows if r["series"] != sid] == before
-    return report
+    return report, caught
 
 
 def test_score_skips_series_without_mase_scale(tmp_path):
-    report = _score_with_extra_series(tmp_path, "zconst", [1] * 48, n_skipped=12)
+    report, _ = _score_with_extra_series(tmp_path, "zconst", [1] * 48, n_skipped=12)
     assert not [r for r in report.rows if r["series"] == "zconst" and r["metric"] == "mase"]
     assert [r for r in report.rows if r["series"] == "zconst"]
     assert all(np.isfinite(r["skill"]) for r in report.skill_rows)
@@ -463,14 +464,46 @@ def test_score_skips_series_without_mase_scale(tmp_path):
 
 def test_short_training_window_loses_only_its_single_block_mase(tmp_path):
     # 18 training periods: one agg12 block, several blocks at every other level
-    report = _score_with_extra_series(tmp_path, "zshort", [t % 5 for t in range(30)],
-                                      n_skipped=2)
+    report, _ = _score_with_extra_series(tmp_path, "zshort", [t % 5 for t in range(30)],
+                                         n_skipped=2)
     levels = {name for name, _, _ in build_temporal_hierarchy(12, [2, 3, 4, 6, 12]).level_sizes}
     for method in ("normal", "base"):
         mase_levels = {r["level"] for r in report.rows
                        if r["series"] == "zshort" and r["metric"] == "mase"
                        and r["method"] == method}
         assert mase_levels == levels - {"agg12"}
+
+
+def test_score_warnings_point_at_the_caller_of_run_score(tmp_path):
+    # both methods forecast an all-zero series as 0, so its skill cells are undefined;
+    # the outer check takes the warnings that the helper's MASE check passes on
+    with pytest.warns(UserWarning, match=r"undefined skill cell\(s\) for .* reported as 0"):
+        _, caught = _score_with_extra_series(tmp_path, "zzero", [0] * 48, n_skipped=12)
+    assert [w for w in caught if "undefined skill cell(s)" in str(w.message)]
+    assert {w.filename for w in caught} == {__file__}
+
+
+def test_score_aggregates_each_training_series_once(tmp_path, monkeypatch):
+    run_benchmark(tmp_path, methods=("normal", "structural_scaling", "base"))
+    calls = []
+    aggregate_levels = harness.temporal_aggregate
+
+    def counted(values, h):
+        calls.append(len(values))
+        return aggregate_levels(values, h)
+
+    monkeypatch.setattr(harness, "temporal_aggregate", counted)
+    harness.run_score(harness.load_config(tmp_path / "cfg_score.json"), quiet=True)
+    assert len(calls) == 3  # one per series, not one per method and series
+
+
+def test_short_series_is_refused_before_any_method_output_is_read(tmp_path):
+    rows = "".join(f"s,{t},1\n" for t in range(13))  # one period short of 12 + 2
+    (tmp_path / "obs.csv").write_text("series_id,t,value\n" + rows)
+    score_cfg = harness.load_config(write_config(
+        tmp_path / "score.json", methods={"normal": "no_outputs"}, output_dir="scores"))
+    with pytest.raises(SeriesTooShort, match="too short to score"):
+        harness.run_score(score_cfg, quiet=True)
 
 
 def test_benchmark_end_to_end(tmp_path):

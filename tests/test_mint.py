@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import MINIMAL
 from reconc.distributions import GaussianForecast
 from reconc.errors import DimensionError, MissingForecast
 from reconc.hierarchy import aggregate, build_temporal_hierarchy, is_coherent
@@ -14,8 +15,6 @@ from reconc.mint import (
     reconcile_gaussian,
     reconcile_truncated,
 )
-
-MINIMAL = build_temporal_hierarchy(2, [2])
 
 
 def random_hierarchy(rng):
