@@ -15,7 +15,7 @@ import math
 import os
 import warnings
 from dataclasses import asdict, dataclass
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import islice
 
 import numpy as np
@@ -361,26 +361,65 @@ def _step_deltas(table: np.ndarray) -> tuple[list, list]:
 
 def _mcmc_moves(caps: np.ndarray, bottom_tables: np.ndarray, upper_tables: np.ndarray,
                 a_matrix: np.ndarray) -> list[tuple]:
-    """The moves of a chain whose state lists the bottoms and then the uppers.
+    """The moves of a chain whose state lists the bottoms, the uppers and two pad slots.
 
     Move `2*j + (s > 0)` shifts b_j by s = +-1, and with it every upper in
-    column A[:, j] (A is 0/1). It holds s, the state entries it shifts, j,
-    the delta table of b_j and an (entry, delta table) pair per upper in
-    column order. Each node has one delta table per step, shared by every
-    move that touches it; the bottom tables end at the caps and the upper
-    tables at A @ caps.
+    column A[:, j] (A is 0/1). It is one flat tuple `(s, j, delta table of
+    b_j, e1, t1, s1, ..., eL, tL, sL)` with one (read entry, delta table,
+    shifted entry) triple per upper in column order, L the largest column
+    arity of A. A shorter column is padded with triples that read the zero
+    slot (the entry after the uppers, never shifted) through the table
+    [0.0] and shift the sink slot (the last entry, never read). Each node
+    has one delta table per step, shared by every move that touches it; the
+    bottom tables end at the caps and the upper tables at A @ caps.
     """
-    m = len(caps)
+    m, n_upper = len(caps), len(a_matrix)
+    zero_slot, sink_slot = m + n_upper, m + n_upper + 1
     bottom_deltas = [_step_deltas(bottom_tables[j, : cap + 1]) for j, cap in enumerate(caps)]
     upper_deltas = [_step_deltas(upper_tables[i, :size])
                     for i, size in enumerate(a_matrix @ caps + 1)]
+    arity = int(a_matrix.sum(axis=0).max())
+    pad = (zero_slot, [0.0], sink_slot)
     moves = []
     for j, col in enumerate(a_matrix.T):
         uppers = np.flatnonzero(col).tolist()
         for side, step in enumerate((-1, 1)):
-            moves.append((step, [j] + [m + i for i in uppers], j, bottom_deltas[j][side],
-                          tuple((m + i, upper_deltas[i][side]) for i in uppers)))
+            terms = [(m + i, upper_deltas[i][side], m + i) for i in uppers]
+            terms += [pad] * (arity - len(uppers))
+            moves.append((step, j, bottom_deltas[j][side], *(v for t in terms for v in t)))
     return moves
+
+
+_WALK_SOURCE = """\
+def walk(x, moves, block):
+    accepted = 0
+    for k, lu in block:
+        step, j, bd{unpack} = moves[k]
+        if lu < bd[x[j]]{delta}:
+            x[j] += step{shift}
+            accepted += 1
+    return accepted
+"""
+
+
+@cache
+def _walker(arity: int):
+    """The walk over (move index, log-uniform) pairs for moves of `arity` uppers.
+
+    `walk(x, moves, block)` scores each move at x by one sum of its delta
+    entries, the bottom's first and then the uppers' left to right (the
+    float order of adding them one by one), shifts x on acceptance and
+    returns the number of accepted moves. It is compiled on first use,
+    once per arity, from _WALK_SOURCE unrolled over the uppers.
+    """
+    terms = range(1, arity + 1)
+    source = _WALK_SOURCE.format(
+        unpack="".join(f", e{i}, t{i}, s{i}" for i in terms),
+        delta="".join(f" + t{i}[x[e{i}]]" for i in terms),
+        shift="".join(f"\n            x[s{i}] += step" for i in terms))
+    namespace = {}
+    exec(compile(source, f"<mcmc walk of arity {arity}>", "exec"), namespace)
+    return namespace["walk"]
 
 
 def _run_chain(rng: np.random.Generator, moves: list[tuple], full_tables: list[list],
@@ -390,14 +429,16 @@ def _run_chain(rng: np.random.Generator, moves: list[tuple], full_tables: list[l
 
     The chain draws its coordinates, steps and log-uniforms from `rng` in
     that order and turns each (coordinate, step) into its move index. Its
-    state is a plain list of the bottoms and then the uppers, starting at
+    state is a plain list laid out as _mcmc_moves states, starting at
     `start`. It walks `burn_in` moves, then `thin` moves per row of `out`,
-    and stores the bottoms after each such block. A chain at a state of
-    positive target mass scores a move by summing its delta-table entries
-    there, the bottom's first and then the uppers' in column order. Until
-    it reaches such a state, a chain accepts an in-range proposal iff the
-    full target (`full_tables`, one log-pmf list per state entry) there is
-    finite.
+    and stores the bottoms after each such block. Until it reaches a state
+    of positive target mass, a chain accepts an in-range proposal iff the
+    full target (`full_tables`, one log-pmf list per bottom and upper) there
+    is finite. From then on it walks in the `_walker` of its moves' arity,
+    fetched here, which scores a move by summing its delta-table entries
+    at the current state, the bottom's first and then the uppers' in
+    column order; the pad terms add 0.0, so every accept decision is that
+    of summing the column's own entries.
     """
     m = len(caps)
     total_iters = burn_in + len(out) * thin
@@ -408,29 +449,26 @@ def _run_chain(rng: np.random.Generator, moves: list[tuple], full_tables: list[l
     def full_log_target(x: list) -> float:
         return sum(table[v] for table, v in zip(full_tables, x))
 
+    walk = _walker(len(moves[0]) // 3 - 1)
     x = list(start)
     reached = math.isfinite(full_log_target(x))
     accepted = 0
-    walk = zip(move_index, log_u)
+    pairs = zip(move_index, log_u)
     for row in range(-1, len(out)):
-        for k, lu in islice(walk, thin if row >= 0 else burn_in):
-            step, entries, j, bottom_delta, upper_deltas = moves[k]
-            if reached:
-                delta = bottom_delta[x[j]]
-                for e, table in upper_deltas:
-                    delta += table[x[e]]
-                accept = lu < delta
-            elif 0 <= x[j] + step <= caps[j]:
-                prop = x.copy()
-                for e in entries:
-                    prop[e] += step
-                accept = reached = math.isfinite(full_log_target(prop))
-            else:
-                accept = False
-            if accept:
-                for e in entries:
-                    x[e] += step
-                accepted += 1
+        block = islice(pairs, thin if row >= 0 else burn_in)
+        if not reached:
+            for k, lu in block:
+                step, j = moves[k][:2]
+                if 0 <= x[j] + step <= caps[j]:
+                    prop = x.copy()
+                    for e in (j, *moves[k][5::3]):  # b_j and the shifted s1, ..., sL
+                        prop[e] += step
+                    if math.isfinite(full_log_target(prop)):
+                        x, reached = prop, True
+                        accepted += 1
+                        break  # the walk goes on with the rest of this block
+        if reached:
+            accepted += walk(x, moves, block)
         if row >= 0:
             out[row] = x[:m]
     return accepted, reached
@@ -533,7 +571,7 @@ def reconcile_mcmc(
     full_tables = bottom_tables.tolist() + upper_tables.tolist()
     cap_list = caps.tolist()
     start = [min(pmf.median(), cap) for pmf, cap in zip(base.bottom, cap_list)]
-    start += (h.a_matrix @ start).tolist()
+    start += (h.a_matrix @ start).tolist() + [0, 0]  # the uppers, the zero and sink slots
 
     job = partial(_chain_job, moves=moves, full_tables=full_tables, caps=cap_list,
                   start=start, burn_in=burn_in, thin=thin, n_samples=n_samples)
@@ -627,13 +665,22 @@ def summarize(joint: CountJoint, h: Hierarchy, alpha: float = 0.1) -> dict[str, 
 
     Bottom marginals come straight from the joint; upper marginals aggregate
     each atom through the relevant A row. Intervals are equal-tailed
-    central intervals at level 1 - alpha.
+    central intervals at level 1 - alpha. The support is read column by
+    column from one C-contiguous transposed copy (free for the F-ordered
+    grids of reconcile_exact); a node's values are its bottoms' columns
+    added in place into one buffer of the atom count, which gives the
+    integers of _node_values without an (n, atoms) array.
     """
+    columns = np.ascontiguousarray(joint.bottom_support.T)
+    buffer = np.empty(len(joint.probabilities), dtype=columns.dtype)
     out = {}
     for idx, label in enumerate(h.node_labels):
-        values, weights = _node_values(joint, h, idx)
-        out[label] = MarginalSummary.of(
-            label, Tabulated.from_weights(np.bincount(values, weights=weights)), alpha)
+        first, *rest = np.flatnonzero(h.s_matrix[idx])
+        values = columns[first]
+        for j in rest:
+            values = np.add(values, columns[j], out=buffer)
+        out[label] = MarginalSummary.of(label, Tabulated.from_weights(
+            np.bincount(values, weights=joint.probabilities)), alpha)
     return out
 
 

@@ -122,6 +122,14 @@ def _env_seed() -> int | None:
     return _integer("RECONC_SEED", value, minimum=0)
 
 
+def _settings(section: str, cls, values: dict):
+    """`cls(**values)`, refusing the keys that `cls` has no field for by name."""
+    unknown = set(values) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {section} key(s) {sorted(unknown)}")
+    return cls(**values)
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse an experiment config JSON file.
 
@@ -129,8 +137,10 @@ def load_config(path) -> ExperimentConfig:
     The RECONC_SEED environment variable overrides the sampler seed; it and
     the sampler seed must be non-negative integers. A seed is mandatory
     whenever a stochastic method (probCount_mcmc, truncated) is selected.
-    The `scoring` keys `es_batch` and `seed` of older configs are ignored
-    with one DeprecationWarning each; any other unknown key is refused.
+    `scoring.alpha` must be a JSON number in (0, 1). The `scoring` keys
+    `es_batch` and `seed` of older configs are ignored with one
+    DeprecationWarning each; any other unknown key, at the top level or in
+    `sampler` or `scoring`, is refused by name.
     """
     path = Path(path)
     raw = json.loads(path.read_text())
@@ -140,19 +150,22 @@ def load_config(path) -> ExperimentConfig:
     base_dir = path.parent
     h = _hierarchy_from_config(raw["hierarchy"], base_dir)
 
-    sampler = SamplerSettings(**raw.get("sampler", {}))
+    sampler = _settings("sampler", SamplerSettings, raw.get("sampler", {}))
     scoring_raw = dict(raw.get("scoring", {}))
     for key in ("es_batch", "seed"):
         if key in scoring_raw:
             del scoring_raw[key]
             warnings.warn(f"scoring.{key} is deprecated and ignored: the energy score "
                           "is computed in closed form", DeprecationWarning, stacklevel=2)
-    scoring_cfg = ScoringSettings(**scoring_raw)
+    scoring_cfg = _settings("scoring", ScoringSettings, scoring_raw)
     test_length = _integer("test_length", raw.get("test_length"), minimum=1)
     for key, value in vars(sampler).items():
         _integer(f"sampler.{key}", value, minimum=0 if key == "seed" else None)
-    if not 0 < scoring_cfg.alpha < 1:
-        raise ValueError(f"scoring.alpha must be in (0, 1), got {scoring_cfg.alpha}")
+    alpha = scoring_cfg.alpha
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+        raise ValueError(f"scoring.alpha must be a number, got {alpha!r}")
+    if not 0 < alpha < 1:
+        raise ValueError(f"scoring.alpha must be in (0, 1), got {alpha}")
     env_seed = _env_seed()
     if env_seed is not None:
         sampler.seed = env_seed

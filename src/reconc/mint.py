@@ -129,12 +129,18 @@ def _std_normal_above(a: float, u: np.ndarray) -> np.ndarray:
     """Standard normal truncated to [a, inf), at uniform draws u, by inverse cdf.
 
     Works in log space from the nearer tail as scipy's truncnorm ppf does, so
-    it keeps precision far out in either tail.
+    it keeps precision far out in either tail. For a < 0 the log cdf is the
+    log-sum-exp of two terms, written out as scipy's logsumexp computes it
+    (the larger term separated out, then log1p of the other's exp, plus
+    log(1), plus the larger): the draws equal those of
+    `special.logsumexp` on the stacked terms to the bit, without its
+    array-API overhead.
     """
     if a < 0:  # Phi(x) = Phi(a) + u (1 - Phi(a))
-        log_mass = special.log1p(-special.ndtr(a))
-        log_cdf = special.logsumexp([np.full_like(u, special.log_ndtr(a)), np.log(u) + log_mass],
-                                    axis=0)
+        log_phi_a = special.log_ndtr(a)
+        log_rest = np.log(u) + special.log1p(-special.ndtr(a))
+        hi = np.maximum(log_phi_a, log_rest)
+        log_cdf = np.log1p(np.exp(np.minimum(log_phi_a, log_rest) - hi)) + 0.0 + hi
         return special.ndtri_exp(log_cdf)
     return -special.ndtri_exp(np.log1p(-u) + special.log_ndtr(-a))  # Phi(-x) = (1 - u) Phi(-a)
 

@@ -12,10 +12,13 @@ from reconc import harness
 from reconc.conditioning import (
     BaseForecastSet,
     CountJoint,
+    MarginalSummary,
+    _node_values,
     bottom_up_exact,
     condition_on_upper,
     correlation,
     reconcile_exact,
+    reconcile_mcmc,
     summarize,
     trim_joint,
 )
@@ -28,6 +31,7 @@ from reconc.errors import (
 )
 from reconc.hierarchy import aggregate, build_temporal_hierarchy, is_coherent
 from test_agreement import SEEDS, random_case
+from test_mcmc import MONTHLY_H, ORACLE_CASES, monthly_mixed
 
 # reconciled correlation of the poisson_249 bottoms, from the enumeration of GROUND_TRUTH
 EXACT_CORR = -0.3008115729
@@ -507,3 +511,48 @@ def test_pipeline_warns_where_the_grid_cuts_posterior_mass():
         joint = _pipeline_exact(MINIMAL, far)
     assert caught[0].filename.endswith("harness.py")  # points at the caller
     assert joint.diagnostics.edge_mass == pytest.approx(1.4e-4, rel=0.05)
+
+
+def summarize_per_node(joint, h, alpha=0.1):
+    """summarize with each node's values from _node_values, the per-node reference."""
+    out = {}
+    for idx, label in enumerate(h.node_labels):
+        values, weights = _node_values(joint, h, idx)
+        out[label] = MarginalSummary.of(
+            label, Tabulated.from_weights(np.bincount(values, weights=weights)), alpha)
+    return out
+
+
+def summary_case(name):
+    """(hierarchy, joint) for the summarize cases."""
+    if name == "mcmc_monthly":
+        return MONTHLY_H, reconcile_mcmc(MONTHLY_H, monthly_mixed(), n_chains=4,
+                                         n_samples=10_000, seed=0)
+    if name == "trimmed_m6":
+        h, base = m6_poisson_case()
+        return h, _pipeline_exact(h, base)
+    h, base = (H421, h421_poisson_case()) if name == "grid_h421" else ORACLE_CASES[name]
+    return h, reconcile_exact(h, base)
+
+
+@pytest.mark.parametrize("case", ["mcmc_monthly", "trimmed_m6", "grid_h421",
+                                  "non_temporal_json"])
+def test_summarize_equals_the_per_node_reference(case):
+    h, joint = summary_case(case)
+    got, expected = summarize(joint, h, alpha=0.2), summarize_per_node(joint, h, alpha=0.2)
+    assert list(got) == list(expected)
+    for label in h.node_labels:
+        assert got[label].to_dict() == expected[label].to_dict()
+
+
+def test_summarize_holds_no_array_of_nodes_by_atoms():
+    # one transposed copy of the support plus one node buffer: below 2x the support
+    draws = np.random.default_rng(0).poisson(0.7, size=(40_000, 12)).astype(np.int64)
+    joint = CountJoint.from_draws(draws)
+    tracemalloc.start()
+    try:
+        summarize(joint, MONTHLY_H)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * joint.bottom_support.nbytes

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import warnings
 
 import numpy as np
@@ -111,6 +112,23 @@ def test_load_config_validations(tmp_path, monkeypatch):
         p.write_text(json.dumps({"hierarchy": MONTHLY, "scoring": {"alpha": alpha}}))
         with pytest.raises(ValueError, match=r"scoring.alpha must be in \(0, 1\)"):
             harness.load_config(p)
+    for alpha, shown in (("0.1", "'0.1'"), (None, "None"), (True, "True"), ([0.1], r"\[0.1\]")):
+        p.write_text(json.dumps({"hierarchy": MONTHLY, "scoring": {"alpha": alpha}}))
+        with pytest.raises(ValueError, match=rf"^scoring.alpha must be a number, got {shown}$"):
+            harness.load_config(p)
+
+    for section, keys in (("sampler", {"chain": 4}), ("scoring", {"baseline": "normal",
+                                                                  "alhpa": 0.1, "beta": 1})):
+        p.write_text(json.dumps({"hierarchy": MONTHLY, section: keys}))
+        unknown = sorted(set(keys) - {"baseline"})
+        with pytest.raises(ValueError, match=rf"^unknown {section} key\(s\) "
+                                             rf"{re.escape(str(unknown))}$"):
+            harness.load_config(p)
+    # the deprecated scoring keys still warn, and an unknown key beside them is refused
+    p.write_text(json.dumps({"hierarchy": MONTHLY, "scoring": {"es_batch": 10, "chain": 1}}))
+    with pytest.warns(DeprecationWarning, match="scoring.es_batch is deprecated"):
+        with pytest.raises(ValueError, match=r"^unknown scoring key\(s\) \['chain'\]$"):
+            harness.load_config(p)
 
     for test_length in (0, -12):
         p.write_text(json.dumps({"hierarchy": MONTHLY, "test_length": test_length}))
@@ -184,7 +202,7 @@ def test_old_scoring_keys_are_ignored_with_a_warning(tmp_path):
     assert scores["old"] == scores["new"]
 
     cfg_path.write_text(json.dumps({"hierarchy": MONTHLY, "scoring": {"es_bacth": 1000}}))
-    with pytest.raises(TypeError, match="es_bacth"):
+    with pytest.raises(ValueError, match=r"^unknown scoring key\(s\) \['es_bacth'\]$"):
         harness.load_config(cfg_path)
 
 

@@ -144,6 +144,10 @@ def monthly_mixed():
     return BaseForecastSet(bottom, upper)
 
 
+SEVEN_UPPERS = Hierarchy.from_json(
+    '{"A": [[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1], [1, 1, 1, 0], [1, 1, 0, 1], '
+    '[1, 0, 1, 1], [1, 1, 1, 1]]}')
+
 ORACLE_CASES = {
     "poisson_249": (MINIMAL, poisson_249()),
     "table2": (MINIMAL, BaseForecastSet(
@@ -170,6 +174,14 @@ ORACLE_CASES = {
         [Tabulated(np.array([0.1, 0.2, 0.0, 0.3, 0.2, 0.2]))])),
     # evidence far above the bottom-up sum pins the bottoms at their caps
     "pinned_at_caps": (MINIMAL, BaseForecastSet([Poisson(0.5), Poisson(0.5)], [Poisson(700.0)])),
+    # b3 is in no upper row: its moves are all padding past the bottom's own term
+    "bottom_in_no_upper": (Hierarchy.from_json('{"A": [[1, 1, 0]]}'), BaseForecastSet(
+        [Poisson(1.0), Poisson(2.0), Poisson(0.5)], [Poisson(4.0)])),
+    # b1 is in all 7 rows, the widest column of any case; one evidence is absent
+    "column_of_7_uppers": (SEVEN_UPPERS, BaseForecastSet(
+        [Poisson(1.0), NegBinomial(1.5, 0.6), Poisson(0.7), Poisson(1.5)],
+        [Poisson(1.1 * rate) for rate in SEVEN_UPPERS.a_matrix[:-1] @ [1.0, 1.0, 0.7, 1.5]]
+        + [None])),
 }
 
 

@@ -7,7 +7,7 @@ use scipy.stats as the oracle for them.
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from reconc import harness
 from reconc.distributions import GaussianForecast, NegBinomial, Poisson, Tabulated
@@ -62,6 +62,22 @@ def test_truncated_normal_inverse_cdf_matches_scipy_truncnorm():
         u = np.random.default_rng(3).uniform(size=1000)
         reference = stats.truncnorm.rvs(a, np.inf, size=1000, random_state=np.random.default_rng(3))
         assert np.array_equal(_std_normal_above(a, u), reference)
+
+
+def test_truncated_normal_left_branch_equals_scipy_logsumexp():
+    # the two-term log-sum-exp of the a < 0 branch, against the scipy call it
+    # replaced, far into the left tail and at the ends of the uniform draws
+    u = np.concatenate([[0.0, 2.0**-53, 1 - 2.0**-53],
+                        np.random.default_rng(5).uniform(size=1000)])
+    grid = np.linspace(-4, 4, 81)
+    for a in [-38.0, -12.0, -1e-12] + grid[grid < 0].tolist():
+        log_mass = special.log1p(-special.ndtr(a))
+        with np.errstate(divide="ignore"):  # log(0) at u = 0
+            log_cdf = special.logsumexp([np.full_like(u, special.log_ndtr(a)),
+                                         np.log(u) + log_mass], axis=0)
+            got = _std_normal_above(a, u)
+        # NaN where both give it: at a = -1e-12 and u = 1 - 2**-53 the log cdf rounds above 0
+        assert np.array_equal(got, special.ndtri_exp(log_cdf), equal_nan=True), a
 
 
 @pytest.mark.parametrize("bottom_mean", [2.5, 0.0, -1.5])  # truncation point a < 0, = 0, > 0
