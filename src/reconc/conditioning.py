@@ -332,14 +332,23 @@ def _mcmc_tables(h: Hierarchy, base: BaseForecastSet):
 
 
 def _split_rhat(kept: np.ndarray) -> np.ndarray:
-    """Split R-hat per coordinate; kept has shape (chains, draws, m)."""
+    """Split R-hat per coordinate; kept has shape (chains, draws, m).
+
+    The half-chains are read in place as a (chains, 2, half, m) view and
+    reduced in float; their means and variances are then ordered first
+    halves first, so the float sums are those of the stacked half-chains.
+    """
     n_chains, n_draws, m = kept.shape
     half = n_draws // 2
     if half < 2:
         return np.full(m, np.nan)
-    seqs = np.concatenate([kept[:, :half], kept[:, half: 2 * half]], axis=0).astype(float)
-    means = seqs.mean(axis=1)  # (2C, m)
-    within = seqs.var(axis=1, ddof=1).mean(axis=0)  # (m,)
+    seqs = kept[:, : 2 * half].reshape(n_chains, 2, half, m)
+
+    def halves_first(stats: np.ndarray) -> np.ndarray:  # (chains, 2, m) -> (2 * chains, m)
+        return stats.transpose(1, 0, 2).reshape(2 * n_chains, m)
+
+    means = halves_first(seqs.mean(axis=2, dtype=float))
+    within = halves_first(seqs.var(axis=2, dtype=float, ddof=1)).mean(axis=0)  # (m,)
     between = half * means.var(axis=0, ddof=1)  # (m,)
     with np.errstate(divide="ignore", invalid="ignore"):  # within == 0: set just below
         rhat = np.sqrt(((half - 1) / half * within + between / half) / within)
@@ -391,33 +400,41 @@ def _mcmc_moves(caps: np.ndarray, bottom_tables: np.ndarray, upper_tables: np.nd
 
 
 _WALK_SOURCE = """\
-def walk(x, moves, block):
+def walk(x, moves, pairs, left, first_row, rows, thin, m, kept):
     accepted = 0
-    for k, lu in block:
-        step, j, bd{unpack} = moves[k]
-        if lu < bd[x[j]]{delta}:
-            x[j] += step{shift}
-            accepted += 1
+    for row in range(first_row, rows):
+        for k, lu in islice(pairs, left):
+            step, j, bd{unpack} = moves[k]
+            if lu < bd[x[j]]{delta}:
+                x[j] += step{shift}
+                accepted += 1
+        if row >= 0:
+            kept += x[:m]
+        left = thin
     return accepted
 """
 
 
 @cache
 def _walker(arity: int):
-    """The walk over (move index, log-uniform) pairs for moves of `arity` uppers.
+    """The rest of a chain's walk, for moves of `arity` uppers.
 
-    `walk(x, moves, block)` scores each move at x by one sum of its delta
-    entries, the bottom's first and then the uppers' left to right (the
-    float order of adding them one by one), shifts x on acceptance and
-    returns the number of accepted moves. It is compiled on first use,
-    once per arity, from _WALK_SOURCE unrolled over the uppers.
+    `walk(x, moves, pairs, left, first_row, rows, thin, m, kept)` takes
+    `left` (move index, log-uniform) pairs from `pairs` to end the block of
+    row `first_row` (-1 for the burn-in), then `thin` pairs for each later
+    row below `rows`; after the block of each row from 0 on it appends the
+    bottoms `x[:m]` to the flat list `kept`. It scores each move at x by one
+    sum of its delta entries, the bottom's first and then the uppers' left
+    to right (the float order of adding them one by one), shifts x on
+    acceptance and returns the number of accepted moves. It is compiled on
+    first use, once per arity, from _WALK_SOURCE unrolled over the uppers.
     """
     terms = range(1, arity + 1)
     source = _WALK_SOURCE.format(
         unpack="".join(f", e{i}, t{i}, s{i}" for i in terms),
         delta="".join(f" + t{i}[x[e{i}]]" for i in terms),
-        shift="".join(f"\n            x[s{i}] += step" for i in terms))
-    namespace = {}
+        shift="".join(f"\n                x[s{i}] += step" for i in terms))
+    namespace = {"islice": islice}
     exec(compile(source, f"<mcmc walk of arity {arity}>", "exec"), namespace)
     return namespace["walk"]
 
@@ -431,14 +448,15 @@ def _run_chain(rng: np.random.Generator, moves: list[tuple], full_tables: list[l
     that order and turns each (coordinate, step) into its move index. Its
     state is a plain list laid out as _mcmc_moves states, starting at
     `start`. It walks `burn_in` moves, then `thin` moves per row of `out`,
-    and stores the bottoms after each such block. Until it reaches a state
-    of positive target mass, a chain accepts an in-range proposal iff the
-    full target (`full_tables`, one log-pmf list per bottom and upper) there
-    is finite. From then on it walks in the `_walker` of its moves' arity,
-    fetched here, which scores a move by summing its delta-table entries
-    at the current state, the bottom's first and then the uppers' in
-    column order; the pad terms add 0.0, so every accept decision is that
-    of summing the column's own entries.
+    and keeps the bottoms after each such block in one flat list, which
+    fills `out` once at the end. Until it reaches a state of positive
+    target mass, a chain accepts an in-range proposal iff the full target
+    (`full_tables`, one log-pmf list per bottom and upper) there is finite.
+    From then on one call of the `_walker` of its moves' arity, fetched
+    here, walks the rest of the chain: it scores a move by summing its
+    delta-table entries at the current state, the bottom's first and then
+    the uppers' in column order; the pad terms add 0.0, so every accept
+    decision is that of summing the column's own entries.
     """
     m = len(caps)
     total_iters = burn_in + len(out) * thin
@@ -449,15 +467,16 @@ def _run_chain(rng: np.random.Generator, moves: list[tuple], full_tables: list[l
     def full_log_target(x: list) -> float:
         return sum(table[v] for table, v in zip(full_tables, x))
 
-    walk = _walker(len(moves[0]) // 3 - 1)
     x = list(start)
     reached = math.isfinite(full_log_target(x))
     accepted = 0
+    kept = []
     pairs = zip(move_index, log_u)
     for row in range(-1, len(out)):
-        block = islice(pairs, thin if row >= 0 else burn_in)
+        left = thin if row >= 0 else burn_in
         if not reached:
-            for k, lu in block:
+            for k, lu in islice(pairs, left):
+                left -= 1
                 step, j = moves[k][:2]
                 if 0 <= x[j] + step <= caps[j]:
                     prop = x.copy()
@@ -468,9 +487,12 @@ def _run_chain(rng: np.random.Generator, moves: list[tuple], full_tables: list[l
                         accepted += 1
                         break  # the walk goes on with the rest of this block
         if reached:
-            accepted += walk(x, moves, block)
+            walk = _walker(len(moves[0]) // 3 - 1)
+            accepted += walk(x, moves, pairs, left, row, len(out), thin, m, kept)
+            break
         if row >= 0:
-            out[row] = x[:m]
+            kept += x[:m]
+    out[:] = np.fromiter(kept, np.int64, out.size).reshape(out.shape)
     return accepted, reached
 
 
@@ -491,11 +513,48 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+#: the worker pool this process keeps: (executor, pid of the process that made it, workers)
+_pool = None
+
+
+def _drop_pool():
+    """Forget the kept worker pool, and shut it down if this process made it."""
+    global _pool
+    if _pool is not None and _pool[1] == os.getpid():
+        _pool[0].shutdown()
+    _pool = None
+
+
+def _kept_pool(workers: int):
+    """The fork pool kept for this process, with at least `workers` workers.
+
+    It is made on first use, and made anew where it has fewer workers or
+    was made by another process (a fork of this one inherits the handle).
+    The executor's exit hook shuts it down when the interpreter exits. A
+    process that multiprocessing started joins its children before that
+    hook runs, so a multiprocessing finalizer shuts the pool down first;
+    it runs ahead of the finalizers of the pool's own queues (priority 10),
+    which would otherwise close the queue before the workers' stop signals
+    are sent.
+    """
+    global _pool
+    if _pool is None or _pool[1] != os.getpid() or _pool[2] < workers:
+        import multiprocessing.util
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        _drop_pool()
+        executor = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+        _pool = (executor, os.getpid(), workers)
+        multiprocessing.util.Finalize(None, _drop_pool, exitpriority=20)
+    return _pool[0]
+
+
 def _map_chains(job, children: list) -> list:
     """Results of `job` on each chain seed, in chain order.
 
-    The jobs run in worker processes or in this one by the rule that
-    reconcile_mcmc states; a daemonic process may not start children.
+    The jobs run on the kept worker pool or in this process by the rule
+    that reconcile_mcmc states; a daemonic process may not start children.
+    A pool that lost a worker is dropped and the jobs run in this process.
     """
     workers = min(len(children), _usable_cpus())
     if workers > 1:
@@ -503,10 +562,12 @@ def _map_chains(job, children: list) -> list:
 
         if ("fork" in multiprocessing.get_all_start_methods()
                 and not multiprocessing.current_process().daemon):
-            from concurrent.futures.process import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
 
-            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-                return list(pool.map(job, children))
+            try:
+                return list(_kept_pool(workers).map(job, children))
+            except BrokenProcessPool:
+                _drop_pool()
     return list(map(job, children))
 
 
@@ -537,9 +598,13 @@ def reconcile_mcmc(
     `n_samples` draws per chain are collected. Each chain draws from its own
     generator spawned from `seed`, so its draws depend only on `seed` and
     its index, never on the number of worker processes. The tables and the
-    start are built once here; the chains then run in
-    `min(n_chains, usable CPUs)` forked worker processes, which end before
-    this call returns. Usable CPUs are `len(os.sched_getaffinity(0))`, or
+    start are built once here; the chains then run on a pool of forked
+    worker processes that this process keeps. The first call that needs
+    `min(n_chains, usable CPUs)` > 1 workers starts it with that many;
+    later calls reuse it, and a call that needs more workers replaces it
+    with a larger one. Its workers end when the interpreter exits. A pool
+    that lost a worker is dropped, and that call's chains run in this
+    process. Usable CPUs are `len(os.sched_getaffinity(0))`, or
     `os.cpu_count()` where that call does not exist. The chains run in
     this process instead with 1 usable CPU, 1 chain, no "fork" start
     method, or from a daemonic process.
@@ -591,8 +656,9 @@ def reconcile_mcmc(
             ConvergenceWarning,
             stacklevel=2,
         )
-    cut = [j for j, pmf in enumerate(base.bottom) if pmf.pmf(caps[j] + 1) > 0]
-    cap_share = float((kept[..., cut] == caps[cut]).any(axis=-1).mean())
+    # a bottom whose pmf ends at its cap is compared with -1, which no draw holds
+    cut_caps = [cap if pmf.pmf(cap + 1) > 0 else -1 for pmf, cap in zip(base.bottom, cap_list)]
+    cap_share = float((kept == cut_caps).any(axis=-1).mean())
     if cap_share > EDGE_MASS_WARN:
         warnings.warn(
             f"{cap_share:.3g} of the kept draws hold some bottom at its table cap while its "

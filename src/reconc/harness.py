@@ -122,6 +122,13 @@ def _env_seed() -> int | None:
     return _integer("RECONC_SEED", value, minimum=0)
 
 
+def _object(key: str, value) -> dict:
+    """`value` checked by name to be a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
 def _settings(section: str, cls, values: dict):
     """`cls(**values)`, refusing the keys that `cls` has no field for by name."""
     unknown = set(values) - {f.name for f in fields(cls)}
@@ -137,21 +144,22 @@ def load_config(path) -> ExperimentConfig:
     The RECONC_SEED environment variable overrides the sampler seed; it and
     the sampler seed must be non-negative integers. A seed is mandatory
     whenever a stochastic method (probCount_mcmc, truncated) is selected.
-    `scoring.alpha` must be a JSON number in (0, 1). The `scoring` keys
-    `es_batch` and `seed` of older configs are ignored with one
-    DeprecationWarning each; any other unknown key, at the top level or in
-    `sampler` or `scoring`, is refused by name.
+    `scoring.alpha` must be a JSON number in (0, 1). The config and its
+    `hierarchy`, `sampler` and `scoring` values must be JSON objects. The
+    `scoring` keys `es_batch` and `seed` of older configs are ignored with
+    one DeprecationWarning each; any other unknown key, at the top level or
+    in `sampler` or `scoring`, is refused by name.
     """
     path = Path(path)
-    raw = json.loads(path.read_text())
+    raw = _object("config", json.loads(path.read_text()))
     unknown = set(raw) - {f.name for f in fields(ExperimentConfig)} - {"base_dir"}
     if unknown:
         raise ValueError(f"unknown config key(s) {sorted(unknown)}")
     base_dir = path.parent
-    h = _hierarchy_from_config(raw["hierarchy"], base_dir)
+    h = _hierarchy_from_config(_object("hierarchy", raw["hierarchy"]), base_dir)
 
-    sampler = _settings("sampler", SamplerSettings, raw.get("sampler", {}))
-    scoring_raw = dict(raw.get("scoring", {}))
+    sampler = _settings("sampler", SamplerSettings, _object("sampler", raw.get("sampler", {})))
+    scoring_raw = dict(_object("scoring", raw.get("scoring", {})))
     for key in ("es_batch", "seed"):
         if key in scoring_raw:
             del scoring_raw[key]

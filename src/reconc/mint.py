@@ -134,15 +134,24 @@ def _std_normal_above(a: float, u: np.ndarray) -> np.ndarray:
     (the larger term separated out, then log1p of the other's exp, plus
     log(1), plus the larger): the draws equal those of
     `special.logsumexp` on the stacked terms to the bit, without its
-    array-API overhead.
+    array-API overhead. Where that log cdf rounds to 0 or above (a just
+    below 0 and u within a few ulps of 1), the inverse would be inf or NaN;
+    those draws come from the upper tail, as for a >= 0.
     """
-    if a < 0:  # Phi(x) = Phi(a) + u (1 - Phi(a))
-        log_phi_a = special.log_ndtr(a)
-        log_rest = np.log(u) + special.log1p(-special.ndtr(a))
-        hi = np.maximum(log_phi_a, log_rest)
-        log_cdf = np.log1p(np.exp(np.minimum(log_phi_a, log_rest) - hi)) + 0.0 + hi
-        return special.ndtri_exp(log_cdf)
-    return -special.ndtri_exp(np.log1p(-u) + special.log_ndtr(-a))  # Phi(-x) = (1 - u) Phi(-a)
+    def from_upper_tail(u):  # Phi(-x) = (1 - u) Phi(-a)
+        return -special.ndtri_exp(np.log1p(-u) + special.log_ndtr(-a))
+
+    if a >= 0:
+        return from_upper_tail(u)
+    # Phi(x) = Phi(a) + u (1 - Phi(a))
+    log_phi_a = special.log_ndtr(a)
+    log_rest = np.log(u) + special.log1p(-special.ndtr(a))
+    hi = np.maximum(log_phi_a, log_rest)
+    log_cdf = np.log1p(np.exp(np.minimum(log_phi_a, log_rest) - hi)) + 0.0 + hi
+    x = special.ndtri_exp(log_cdf)
+    at_top = log_cdf >= 0
+    x[at_top] = from_upper_tail(u[at_top])
+    return x
 
 
 def reconcile_truncated(

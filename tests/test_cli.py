@@ -54,6 +54,23 @@ def test_missing_config_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+H2 = '{"bottom_period_count": 2, "factors": [2]}'
+
+
+@pytest.mark.parametrize("body, message", [
+    ("[]", "config must be a JSON object, got []"),
+    ('{"hierarchy": null}', "hierarchy must be a JSON object, got None"),
+    (f'{{"hierarchy": {H2}, "sampler": null}}', "sampler must be a JSON object, got None"),
+    (f'{{"hierarchy": {H2}, "scoring": ["alpha"]}}',
+     "scoring must be a JSON object, got ['alpha']"),
+])
+def test_non_object_config_exit_code(tmp_path, capsys, body, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(body)
+    assert main(["reconcile", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_forecast_exit_code(tmp_path, capsys):
     (tmp_path / "fc.json").write_text(json.dumps({"b1": {"dist": "poisson", "lambda": 1}}))
     cfg = write_config(tmp_path / "cfg.json",

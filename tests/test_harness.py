@@ -130,6 +130,17 @@ def test_load_config_validations(tmp_path, monkeypatch):
         with pytest.raises(ValueError, match=r"^unknown scoring key\(s\) \['chain'\]$"):
             harness.load_config(p)
 
+    # the config and its sections must be JSON objects
+    p.write_text("[]")
+    with pytest.raises(ValueError, match=r"^config must be a JSON object, got \[\]$"):
+        harness.load_config(p)
+    for section, value, shown in (("hierarchy", None, "None"), ("sampler", None, "None"),
+                                  ("scoring", ["alpha"], r"\['alpha'\]"),
+                                  ("sampler", 4, "4")):
+        p.write_text(json.dumps({"hierarchy": MONTHLY, section: value}))
+        with pytest.raises(ValueError, match=rf"^{section} must be a JSON object, got {shown}$"):
+            harness.load_config(p)
+
     for test_length in (0, -12):
         p.write_text(json.dumps({"hierarchy": MONTHLY, "test_length": test_length}))
         with pytest.raises(ValueError, match=rf"test_length must be >= 1, got {test_length}"):

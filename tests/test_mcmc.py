@@ -2,7 +2,11 @@
 
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,11 +234,8 @@ def test_draws_equal_lockstep_reference_at_block_edges(case, burn_in, thin):
     assert np.array_equal(joint.diagnostics.rhat, rhat, equal_nan=True)
 
 
-def run_both_paths(monkeypatch, h, base, **settings):
-    """reconcile_mcmc on forked workers, then in this process, with the fork count.
-
-    Each run returns the joint, or the SamplerStuck it raised.
-    """
+def count_forks(monkeypatch) -> list:
+    """A list that gains one entry per os.fork this process makes from now on."""
     forks = []
     fork = os.fork
 
@@ -243,6 +244,17 @@ def run_both_paths(monkeypatch, h, base, **settings):
         return fork()
 
     monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def run_both_paths(monkeypatch, h, base, **settings):
+    """reconcile_mcmc on a new worker pool, then in this process, with the fork count.
+
+    Each run returns the joint, or the SamplerStuck it raised. The pool is
+    kept after each run: its workers are this process's only children.
+    """
+    conditioning._drop_pool()
+    forks = count_forks(monkeypatch)
     runs = []
     for cpus in (settings["n_chains"], 1):
         monkeypatch.setattr(conditioning, "_usable_cpus", lambda cpus=cpus: cpus)
@@ -250,7 +262,7 @@ def run_both_paths(monkeypatch, h, base, **settings):
             runs.append(reconcile_mcmc(h, base, **settings))
         except SamplerStuck as exc:
             runs.append(exc)
-        assert multiprocessing.active_children() == []
+        assert len(multiprocessing.active_children()) == settings["n_chains"]
     return runs, len(forks)
 
 
@@ -282,6 +294,112 @@ def test_sampler_stuck_from_workers_names_the_stuck_chains(monkeypatch):
     for exc in (workers, in_process):
         assert isinstance(exc, SamplerStuck)
         assert str(exc) == f"chains {stuck} never reached positive target probability"
+
+
+def worker_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def test_later_calls_reuse_the_pool_until_they_need_more_workers(monkeypatch):
+    settings = dict(n_samples=100, seed=4)
+    conditioning._drop_pool()
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(conditioning, "_usable_cpus", lambda: 3)
+    first = reconcile_mcmc(MINIMAL, poisson_249(), n_chains=2, **settings)
+    workers = worker_pids()
+    assert len(forks) == len(workers) == 2
+    again = reconcile_mcmc(MINIMAL, poisson_249(), n_chains=2, **settings)
+    assert len(forks) == 2 and worker_pids() == workers
+    assert np.array_equal(again.draws, first.draws)
+    wider = reconcile_mcmc(MINIMAL, poisson_249(), n_chains=3, **settings)
+    assert len(forks) == 5 and len(worker_pids()) == 3 and not worker_pids() & workers
+    narrower = reconcile_mcmc(MINIMAL, poisson_249(), n_chains=2, **settings)
+    assert len(forks) == 5
+    assert np.array_equal(narrower.draws, first.draws)
+    assert np.array_equal(wider.draws[:200], first.draws)  # the same first two chains
+
+
+def draws_in_a_child(writer):
+    joint = reconcile_mcmc(MINIMAL, poisson_249(), n_chains=2, n_samples=100, seed=6)
+    writer.send((joint.draws.copy(), conditioning._pool[1] == os.getpid()))
+    writer.close()
+
+
+def test_a_forked_child_makes_its_own_pool_and_exits(monkeypatch):
+    monkeypatch.setattr(conditioning, "_usable_cpus", lambda: 2)
+    parent = reconcile_mcmc(MINIMAL, poisson_249(), n_chains=2, n_samples=100, seed=6)
+    pool, workers = conditioning._pool, worker_pids()
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+    child = context.Process(target=draws_in_a_child, args=(writer,))
+    assert not child.daemon
+    child.start()
+    writer.close()
+    try:
+        assert reader.poll(60)
+        draws, own_pool = reader.recv()
+        child.join(60)
+        assert not child.is_alive() and child.exitcode == 0  # its own pool did not hold it up
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert own_pool
+    assert np.array_equal(draws, parent.draws)
+    forks = count_forks(monkeypatch)
+    again = reconcile_mcmc(MINIMAL, poisson_249(), n_chains=2, n_samples=100, seed=6)
+    assert conditioning._pool is pool and worker_pids() == workers and not forks
+    assert np.array_equal(again.draws, parent.draws)
+
+
+WORKER_PIDS_SCRIPT = """
+import multiprocessing
+from reconc import conditioning
+from reconc.conditioning import BaseForecastSet, reconcile_mcmc
+from reconc.distributions import Poisson
+from reconc.hierarchy import Hierarchy
+
+conditioning._usable_cpus = lambda: 2
+h = Hierarchy.from_json('{"A": [[1, 1]]}')
+base = BaseForecastSet([Poisson(2.0), Poisson(4.0)], [Poisson(9.0)])
+for seed in (0, 1):
+    reconcile_mcmc(h, base, n_chains=2, n_samples=100, seed=seed)
+print(*[p.pid for p in multiprocessing.active_children()])
+"""
+
+
+def test_no_worker_outlives_its_process():
+    env = {**os.environ, "PYTHONPATH": str(Path(conditioning.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", WORKER_PIDS_SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_a_pool_that_lost_a_worker_is_dropped(monkeypatch):
+    settings = dict(n_chains=2, n_samples=100, burn_in=50, seed=8, thin=2)
+    monkeypatch.setattr(conditioning, "_usable_cpus", lambda: 2)
+    conditioning._drop_pool()
+    reconcile_mcmc(MINIMAL, poisson_249(), **settings)
+    victim = multiprocessing.active_children()[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(60)
+    assert not victim.is_alive()
+    after = reconcile_mcmc(MINIMAL, poisson_249(), **settings)
+    assert conditioning._pool is None
+    monkeypatch.setattr(conditioning, "_usable_cpus", lambda: 1)
+    in_process = reconcile_mcmc(MINIMAL, poisson_249(), **settings)
+    assert np.array_equal(after.draws, in_process.draws)
+    assert np.array_equal(after.diagnostics.acceptance_rates,
+                          in_process.diagnostics.acceptance_rates)
+    monkeypatch.setattr(conditioning, "_usable_cpus", lambda: 2)
+    forks = count_forks(monkeypatch)
+    reconcile_mcmc(MINIMAL, poisson_249(), **settings)
+    assert len(forks) == 2  # the next call starts a new pool
 
 
 def test_cap_share_warns_when_draws_sit_at_the_caps():

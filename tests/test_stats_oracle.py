@@ -76,8 +76,38 @@ def test_truncated_normal_left_branch_equals_scipy_logsumexp():
             log_cdf = special.logsumexp([np.full_like(u, special.log_ndtr(a)),
                                          np.log(u) + log_mass], axis=0)
             got = _std_normal_above(a, u)
-        # NaN where both give it: at a = -1e-12 and u = 1 - 2**-53 the log cdf rounds above 0
-        assert np.array_equal(got, special.ndtri_exp(log_cdf), equal_nan=True), a
+        # at a = -1e-12 and u = 1 - 2**-53 the log cdf rounds above 0, where scipy's
+        # inverse is NaN; test_truncated_normal_left_branch_near_u_one checks those draws
+        defined = log_cdf < 0
+        assert np.array_equal(got[defined], special.ndtri_exp(log_cdf[defined])), a
+        assert defined.all() or a == -1e-12
+        assert np.isfinite(got).all(), a
+
+
+def test_truncated_normal_left_branch_near_u_one():
+    # at a = -1e-12 the two-term log cdf rounds to 0 for u = 1 - 2**-52 (inverse inf) and
+    # above 0 for u = 1 - 2**-53 (NaN); both draws belong in the far right tail
+    u = 1 - np.array([2.0**-53, 2.0**-52])
+    got = _std_normal_above(-1e-12, u)
+    assert np.array_equal(np.round(got, 2), [8.29, 8.21])
+    assert np.allclose(got, -special.ndtri((1 - u) * special.ndtr(1e-12)), rtol=1e-12, atol=0)
+    assert (got >= _std_normal_above(-1e-9, u)).all()  # a higher truncation point
+
+
+class UniformNearOne(np.random.Generator):
+    """A generator whose uniform draws are 1 - 2**-53 and 1 - 2**-52 in turn."""
+
+    def uniform(self, size=None):
+        return np.resize(1 - np.array([2.0**-53, 2.0**-52]), size)
+
+
+def test_truncated_draws_near_u_one_are_far_out():
+    # bottom means 1e-12 with sd 0.866: a = -1.15e-12, and x = 8.29 and 8.21 scale to 7.2 and 7.1
+    h = build_temporal_hierarchy(2, [2])
+    base = [GaussianForecast(2e-12, 2.0), GaussianForecast(1e-12, 1.0),
+            GaussianForecast(1e-12, 1.0)]
+    joint = reconcile_truncated(h, base, n_samples=2, seed=UniformNearOne(np.random.PCG64(0)))
+    assert (joint.draws == 7).all()
 
 
 @pytest.mark.parametrize("bottom_mean", [2.5, 0.0, -1.5])  # truncation point a < 0, = 0, > 0
