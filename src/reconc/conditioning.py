@@ -144,8 +144,10 @@ def _exact_grid(h: Hierarchy, base: BaseForecastSet, epsilon: float, cell_cap: i
     Each present evidence multiplies in as a table over the axes of its A
     row, broadcast over the others, and the grid is renormalized after each:
     cell by cell the arithmetic of bottom_up_exact and condition_on_upper,
-    so the values are equal to the bit. SupportTooLarge is raised before any
-    grid is allocated.
+    so the values are equal to the bit. The table `T[b] = pmf(A[i] @ b)` is
+    a strided (Hankel) view of the evidence pmf, one element along each axis
+    of the row and 0 along the others, so no table of the grid's size is
+    built. SupportTooLarge is raised before any grid is allocated.
     """
     base.validate(h)
     sizes = [pmf.quantile_truncate(epsilon) + 1 for pmf in base.bottom]
@@ -159,13 +161,15 @@ def _exact_grid(h: Hierarchy, base: BaseForecastSet, epsilon: float, cell_cap: i
     grid = reduce(np.multiply.outer, marginals).reshape(-1)
     grid /= grid.sum()
     grid = grid.reshape(sizes)
+    tops = np.array(sizes) - 1
     for i, evidence in enumerate(upper):
         if evidence is None:
             continue
         in_row = h.a_matrix[i] == 1
-        sums = reduce(np.add.outer, [np.arange(s) for s, on in zip(sizes, in_row) if on])
-        table = evidence.pmf(np.arange(sums.max() + 1))[sums]
-        grid *= table.reshape(tuple(np.where(in_row, sizes, 1)))
+        pmf = np.ascontiguousarray(evidence.pmf(np.arange(h.a_matrix[i] @ tops + 1)))
+        grid *= np.lib.stride_tricks.as_strided(
+            pmf, shape=tuple(np.where(in_row, sizes, 1)),
+            strides=tuple(np.where(in_row, pmf.itemsize, 0)), writeable=False)
         total = grid.sum()
         if total <= 0:
             raise IncompatibleEvidence(
@@ -249,8 +253,9 @@ def reconcile_exact(
 def _trim(p: np.ndarray, at_edge: np.ndarray) -> tuple[np.ndarray, np.ndarray, TrimDiagnostics]:
     """trim_joint's rule on atom probabilities and their edge mask.
 
-    Returns the mask of the kept atoms, their renormalized probabilities and
-    the diagnostics.
+    Returns the ascending flat indices of the kept atoms, their
+    renormalized probabilities and the diagnostics. The dropped mass is the
+    running total of the sorted atoms, so every atom is sorted.
     """
     edge_mass = float(p[at_edge].sum())
     if edge_mass > EDGE_MASS_WARN:
@@ -263,11 +268,11 @@ def _trim(p: np.ndarray, at_edge: np.ndarray) -> tuple[np.ndarray, np.ndarray, T
     ascending = np.sort(p)
     cumulative = np.cumsum(ascending)
     # the lightest atom whose running total passes ATOM_TOL is the lightest one kept
-    keep = p >= ascending[np.searchsorted(cumulative, ATOM_TOL, side="right")]
-    n_dropped = len(p) - np.count_nonzero(keep)
+    kept_at = np.flatnonzero(p >= ascending[np.searchsorted(cumulative, ATOM_TOL, side="right")])
+    n_dropped = len(p) - len(kept_at)
     dropped_mass = float(cumulative[n_dropped - 1]) if n_dropped else 0.0
-    kept = p[keep]
-    return keep, kept / kept.sum(), TrimDiagnostics(dropped_mass, edge_mass)
+    kept = p[kept_at]
+    return kept_at, kept / kept.sum(), TrimDiagnostics(dropped_mass, edge_mass)
 
 
 def trim_joint(joint: CountJoint, bottom: list[CountPmf]) -> CountJoint:
@@ -291,23 +296,23 @@ def trim_joint(joint: CountJoint, bottom: list[CountPmf]) -> CountJoint:
     for j, pmf in enumerate(bottom):
         if pmf.pmf(tops[j] + 1) > 0:
             at_edge |= support[:, j] == tops[j]
-    keep, kept, diagnostics = _trim(p, at_edge)
-    return CountJoint(support[keep], kept, diagnostics)
+    kept_at, kept, diagnostics = _trim(p, at_edge)
+    return CountJoint(support[kept_at], kept, diagnostics)
 
 
 def _reconcile_exact_trimmed(h: Hierarchy, base: BaseForecastSet) -> CountJoint:
     """trim_joint(reconcile_exact(h, base), base.bottom), equal to the bit.
 
     The edge mask is set along the grid's axes and support rows are built
-    for the kept atoms only, so the full support is never allocated.
+    from the kept flat indices only, so the full support is never allocated.
     """
     grid = _exact_grid(h, base, DEFAULT_EPSILON, DEFAULT_CELL_CAP, base.upper)
     at_edge = np.zeros(grid.shape, dtype=bool)
     for j, pmf in enumerate(base.bottom):
         if pmf.pmf(grid.shape[j]) > 0:
             np.moveaxis(at_edge, j, 0)[-1] = True
-    keep, kept, diagnostics = _trim(grid.reshape(-1), at_edge.reshape(-1))
-    support = np.stack(np.unravel_index(np.flatnonzero(keep), grid.shape), axis=1)
+    kept_at, kept, diagnostics = _trim(grid.reshape(-1), at_edge.reshape(-1))
+    support = np.stack(np.unravel_index(kept_at, grid.shape), axis=1)
     return CountJoint(support, kept, diagnostics)
 
 
@@ -516,6 +521,27 @@ def _usable_cpus() -> int:
 #: the worker pool this process keeps: (executor, pid of the process that made it, workers)
 _pool = None
 
+#: seconds between a pool worker's checks that the process that made the pool lives
+_MAKER_POLL_S = 1.0
+
+
+def _exit_with_maker(maker: int):
+    """Pool worker initializer: end this worker once the pool's maker `maker` is gone.
+
+    A daemon thread polls the parent pid, which changes when the maker
+    dies. (PR_SET_PDEATHSIG fires when the forking thread exits, which may
+    be a caller's thread that ends before the process.)
+    """
+    import threading
+    import time
+
+    def watch():
+        while os.getppid() == maker:
+            time.sleep(_MAKER_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="reconc-maker-watch", daemon=True).start()
+
 
 def _drop_pool():
     """Forget the kept worker pool, and shut it down if this process made it."""
@@ -535,7 +561,8 @@ def _kept_pool(workers: int):
     hook runs, so a multiprocessing finalizer shuts the pool down first;
     it runs ahead of the finalizers of the pool's own queues (priority 10),
     which would otherwise close the queue before the workers' stop signals
-    are sent.
+    are sent. Killed without that hook, the maker leaves no workers
+    behind: each ends itself about _MAKER_POLL_S seconds later.
     """
     global _pool
     if _pool is None or _pool[1] != os.getpid() or _pool[2] < workers:
@@ -543,7 +570,8 @@ def _kept_pool(workers: int):
         from concurrent.futures.process import ProcessPoolExecutor
 
         _drop_pool()
-        executor = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+        executor = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                       initializer=_exit_with_maker, initargs=(os.getpid(),))
         _pool = (executor, os.getpid(), workers)
         multiprocessing.util.Finalize(None, _drop_pool, exitpriority=20)
     return _pool[0]

@@ -239,13 +239,17 @@ def fit_negbinomial(samples) -> CountPmf:
 
     Overdispersed samples give NegBinomial(r, p) with r = mu^2/(v - mu) and
     p = r/(r + mu); equi- or underdispersed samples fall back to
-    Poisson(mu), and all-zero samples to a point mass at zero.
+    Poisson(mu), and all-zero samples to a point mass at zero. A negative
+    or non-integer sample is refused with ValueError.
     """
     x = np.asarray(samples, dtype=float)
     if x.size < 1:
         raise InsufficientSamples("need at least one sample")
     if (x < 0).any():
         raise ValueError("count samples must be non-negative")
+    fractional = x[x != np.floor(x)]
+    if fractional.size:
+        raise ValueError(f"count samples must be integers, got {fractional[0]:g}")
     mu = float(x.mean())
     if mu == 0:
         return Tabulated(np.array([1.0]))

@@ -14,6 +14,7 @@ import io
 import json
 import os
 import warnings
+import zipfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -296,13 +297,21 @@ def read_forecasts(path) -> dict[str, dict[str, dict]]:
     return out
 
 
+def _parse_entry(parse, entries: dict[str, dict], label: str):
+    """`parse(entries[label])`, naming the node in a ValueError it raises."""
+    try:
+        return parse(entries[label])
+    except ValueError as exc:
+        raise ValueError(f"node {label!r}: {exc}") from exc
+
+
 def _count_forecast_set(h: Hierarchy, entries: dict[str, dict]) -> BaseForecastSet:
     bottom = []
     for label in h.bottom_labels:
         if label not in entries:
             raise MissingForecast(f"count reconciliation needs bottom forecast {label!r}")
-        bottom.append(count_pmf_from_dict(entries[label]))
-    upper = [count_pmf_from_dict(entries[label]) if label in entries else None
+        bottom.append(_parse_entry(count_pmf_from_dict, entries, label))
+    upper = [_parse_entry(count_pmf_from_dict, entries, label) if label in entries else None
              for label in h.upper_labels]
     return BaseForecastSet(bottom, upper)
 
@@ -312,7 +321,7 @@ def _gaussian_forecasts(h: Hierarchy, entries: dict[str, dict]) -> list[Gaussian
     for label in h.node_labels:
         if label not in entries:
             raise MissingForecast(f"Gaussian reconciliation needs forecast {label!r}")
-        out.append(gaussian_from_dict(entries[label]))
+        out.append(_parse_entry(gaussian_from_dict, entries, label))
     return out
 
 
@@ -350,13 +359,23 @@ def _csv_body(values: np.ndarray) -> bytes:
     return rows[rows != 0].tobytes()
 
 
+def _narrowest(values: np.ndarray) -> np.ndarray:
+    """A non-negative integer array in the narrowest unsigned dtype that holds it, else as is."""
+    if values.dtype.kind not in "iu" or values.min(initial=0) < 0:
+        return values
+    return values.astype(np.min_scalar_type(values.max(initial=0)), copy=False)
+
+
 def _write_artifact(out_dir: Path, h: Hierarchy, method: str, sid: str, joint) -> dict:
     """Write one series' reconciled joint; returns the record keys that locate it.
 
     Sampler draws go to a CSV, one equal-weight atom per row in draw order;
-    any other joint goes to a compressed .npz holding its arrays by field name.
-    A joint's diagnostics go to the record; `base` stores no joint, only the
-    diagnostics that reconcile_series returns for it.
+    any other joint goes to an .npz holding its arrays by field name, each
+    non-negative integer array in its narrowest unsigned dtype. An exact
+    joint is deflated at level 1 (`np.savez_compressed` takes no level);
+    the small Gaussian arrays keep zlib's default level, the bytes of
+    `np.savez_compressed`. A joint's diagnostics go to the record; `base`
+    stores no joint, only the diagnostics that reconcile_series returns.
     """
     if method == "base":
         return {"diagnostics": joint}
@@ -369,8 +388,13 @@ def _write_artifact(out_dir: Path, h: Hierarchy, method: str, sid: str, joint) -
         keys = {"samples_file": fname}
     else:
         fname = f"joint_{sid}.npz"
-        np.savez_compressed(out_dir / fname,
-                            **{k: v for k, v in vars(joint).items() if isinstance(v, np.ndarray)})
+        level = 1 if isinstance(joint, CountJoint) else None
+        with zipfile.ZipFile(out_dir / fname, "w", zipfile.ZIP_DEFLATED,
+                             compresslevel=level) as zf:
+            for name, value in vars(joint).items():
+                if isinstance(value, np.ndarray):
+                    with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                        np.lib.format.write_array(fh, _narrowest(value), allow_pickle=False)
         keys = {"joint_file": fname}
     if getattr(joint, "diagnostics", None) is not None:
         keys["diagnostics"] = joint.diagnostics.to_dict()
@@ -378,7 +402,10 @@ def _write_artifact(out_dir: Path, h: Hierarchy, method: str, sid: str, joint) -
 
 
 def _read_artifact(record: dict, method_dir: Path):
-    """The joint `_write_artifact` stored for one series record (None if none was)."""
+    """The joint `_write_artifact` stored for one series record (None if none was).
+
+    An exact joint's atoms come back as int64, whatever their stored dtype.
+    """
     diagnostics = record.get("diagnostics")
     if "samples_file" in record:
         draws = np.loadtxt(method_dir / record["samples_file"], delimiter=",", skiprows=1,
@@ -390,8 +417,8 @@ def _read_artifact(record: dict, method_dir: Path):
     with np.load(method_dir / record["joint_file"]) as arrays:
         if record["method"] != "probCount_exact":
             return mint.GaussianReconciled(**arrays)
-        return CountJoint(**arrays, diagnostics=TrimDiagnostics(**diagnostics)
-                          if diagnostics is not None else None)
+        return CountJoint(arrays["bottom_support"].astype(np.int64), arrays["probabilities"],
+                          TrimDiagnostics(**diagnostics) if diagnostics is not None else None)
 
 
 def reconcile_series(h: Hierarchy, method: str, entries: dict[str, dict],
@@ -416,12 +443,11 @@ def reconcile_series(h: Hierarchy, method: str, entries: dict[str, dict],
         for label in h.node_labels:
             if label not in entries:
                 raise MissingForecast(f"base method needs a forecast for node {label!r}")
-            entry = entries[label]
-            if entry.get("dist") == "gaussian":
-                g = gaussian_from_dict(entry)
+            if entries[label].get("dist") == "gaussian":
+                g = _parse_entry(gaussian_from_dict, entries, label)
                 summaries[label] = _gaussian_node_summary(g.mean, g.variance, alpha)
                 continue
-            pmf = count_pmf_from_dict(entry)
+            pmf = _parse_entry(count_pmf_from_dict, entries, label)
             table, dropped[label] = pmf, 0.0
             if not isinstance(pmf, Tabulated):
                 weights = pmf.pmf(np.arange(pmf.quantile_truncate() + 1))
@@ -450,7 +476,12 @@ def reconcile_series(h: Hierarchy, method: str, entries: dict[str, dict],
 
 
 def run_reconcile(cfg: ExperimentConfig, quiet: bool = False) -> Path:
-    """Run the configured method on every series; write outputs; return dir."""
+    """Run the configured method on every series; write outputs; return dir.
+
+    A forecast label that is not a node of the hierarchy is refused, naming
+    its series, before any series is reconciled; a ValueError raised while
+    reconciling a series names that series.
+    """
     h = cfg.hierarchy
     if cfg.method is None:
         raise ValueError("config has no method to run")
@@ -472,13 +503,22 @@ def run_reconcile(cfg: ExperimentConfig, quiet: bool = False) -> Path:
     else:
         raise ValueError("config has no forecasts source")
 
+    nodes = set(h.node_labels)
+    for sid in sorted(forecasts):
+        unknown = sorted(set(forecasts[sid]) - nodes)
+        if unknown:
+            raise ValueError(f"series {sid!r}: forecast label {unknown[0]!r} is not a node "
+                             "of the hierarchy")
     seed0 = cfg.sampler.seed if cfg.sampler.seed is not None else 0
     all_summaries = {}
     for idx, sid in enumerate(sorted(forecasts)):
         series_seed = seed0 + idx
-        summaries, artifact = reconcile_series(
-            h, cfg.method, forecasts[sid], cfg.sampler, cfg.scoring.alpha, series_seed,
-        )
+        try:
+            summaries, artifact = reconcile_series(
+                h, cfg.method, forecasts[sid], cfg.sampler, cfg.scoring.alpha, series_seed,
+            )
+        except ValueError as exc:
+            raise ValueError(f"series {sid!r}: {exc}") from exc
         all_summaries[sid] = {"method": cfg.method, "alpha": cfg.scoring.alpha,
                               "nodes": summaries,
                               **_write_artifact(out_dir, h, cfg.method, sid, artifact)}

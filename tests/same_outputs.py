@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/same_outputs.py write OUT_DIR
     python tests/same_outputs.py compare OLD_DIR NEW_DIR \\
-        [--tol PATTERN=VALUE ...] [--allow-added PATTERN ...]
+        [--tol PATTERN=VALUE ...] [--allow-added PATTERN ...] [--allow-dtype PATTERN ...]
 
 `write` runs every method of `harness.METHODS` with the builtin forecaster
 on the synthetic observations of `helpers.write_synthetic_observations`,
@@ -18,7 +18,10 @@ byte-equal; a CSV is compared cell by cell, so a changed line terminator
 shows only in that count. Files that are not byte-equal are compared field
 by field: JSON values by key path, CSV cells by row and column, `.npz` arrays by name, and exact
 joints (`bottom_support` plus `probabilities`) by the total variation
-between them. A field is named `<file>:<path>`, a CSV cell
+between them. An `.npz` array whose shape or dtype differs fails, but a
+dtype change passes under `--allow-dtype PATTERN`, PATTERN a glob on
+`<file>:<array>`, and a joint's arrays may change shape where a `--tol`
+pattern matches `<file>:joint`. A field is named `<file>:<path>`, a CSV cell
 `<file>:<row>[<text cells>]/<column>`; a JSON list item that is an object
 carries its text values in brackets the same way. A numeric difference passes only
 under `--tol PATTERN=VALUE`, PATTERN a glob on the field name, and only if
@@ -88,11 +91,14 @@ def _parse_number(text: str):
 
 
 class Comparison:
-    def __init__(self, tolerances: dict[str, float], allow_added: list[str]):
+    def __init__(self, tolerances: dict[str, float], allow_added: list[str],
+                 allow_dtype: list[str] = ()):
         self.tolerances = tolerances
         self.allow_added = allow_added
+        self.allow_dtype = allow_dtype
         self.failures: list[str] = []
         self.added: list[str] = []
+        self.dtype_changes: list[str] = []
         self.tolerated: dict[str, list] = {}  # pattern -> [fields, largest difference]
 
     def _tolerance(self, key: str) -> tuple[str | None, float]:
@@ -173,18 +179,37 @@ class Comparison:
         if sorted(arrays_a) != sorted(arrays_b):
             self.failures.append(f"{key}: arrays {sorted(arrays_a)} != {sorted(arrays_b)}")
             return
-        if {"bottom_support", "probabilities"} <= set(arrays_a):
+        joint = {"bottom_support", "probabilities"} <= set(arrays_a)
+        # a tolerated total variation may come from a changed support, so of another shape
+        reshaped = joint and self._tolerance(f"{key}:joint")[0] is not None
+        same_layout = [self.layout(f"{key}:{name}", va, arrays_b[name], reshaped)
+                       for name, va in sorted(arrays_a.items())]
+        if joint:
             tv = _total_variation(arrays_a, arrays_b)
             self.difference(f"{key}:joint", tv, 1.0, f"total variation {tv:.3g}")
             return
-        for name, va in arrays_a.items():
-            vb = arrays_b[name]
-            if va.shape != vb.shape or va.dtype != vb.dtype:
-                self.failures.append(f"{key}:{name}: shape or dtype differs")
+        for (name, va), same in zip(sorted(arrays_a.items()), same_layout):
+            if not same:
                 continue
-            diff = float(np.max(np.abs(va - vb), initial=0.0))
+            vb = arrays_b[name]
+            diff = float(np.max(np.abs(np.subtract(va, vb, dtype=float)), initial=0.0))
             scale = float(np.max(np.abs([va, vb]), initial=0.0))
             self.difference(f"{key}:{name}", diff, scale, f"largest difference {diff:.3g}")
+
+    def layout(self, key: str, a: np.ndarray, b: np.ndarray, reshaped: bool) -> bool:
+        """Record a shape or dtype difference between two arrays; returns whether shapes match.
+
+        A dtype difference passes only under --allow-dtype, a shape difference
+        only where `reshaped` allows it.
+        """
+        if a.dtype != b.dtype:
+            if any(fnmatch(key, pattern) for pattern in self.allow_dtype):
+                self.dtype_changes.append(f"{key}: {a.dtype} -> {b.dtype}")
+            else:
+                self.failures.append(f"{key}: dtype {a.dtype} != {b.dtype}")
+        if a.shape != b.shape and not reshaped:
+            self.failures.append(f"{key}: shape {a.shape} != {b.shape}")
+        return a.shape == b.shape
 
     def files(self, rel: str, a: Path, b: Path) -> bool:
         """Compare one file of both trees; returns whether it is byte-equal."""
@@ -244,6 +269,8 @@ def main(argv=None) -> int:
                        metavar="PATTERN=VALUE", help="tolerance on matching numeric fields")
     p_cmp.add_argument("--allow-added", action="append", default=[], metavar="PATTERN",
                        help="fields or files that only the new tree may have")
+    p_cmp.add_argument("--allow-dtype", action="append", default=[], metavar="PATTERN",
+                       help="`.npz` arrays (<file>:<array>) whose dtype may differ")
     args = parser.parse_args(argv)
 
     if args.command == "write":
@@ -251,11 +278,14 @@ def main(argv=None) -> int:
             parser.error(f"{args.out} exists")
         write_tree(args.out)
         return 0
-    comparison = Comparison(dict(args.tol), args.allow_added)
+    comparison = Comparison(dict(args.tol), args.allow_added, args.allow_dtype)
     n_files, n_equal = compare_trees(args.old, args.new, comparison)
     print(f"{n_files} files in both trees, {n_equal} byte-equal")
     for pattern, (count, largest) in comparison.tolerated.items():
         print(f"within tolerance {pattern}: {count} fields, largest absolute difference {largest:.3g}")
+    if comparison.dtype_changes:
+        print(f"dtype changed (allowed): {len(comparison.dtype_changes)}, "
+              f"e.g. {comparison.dtype_changes[0]}")
     if comparison.added:
         print(f"only in the new tree (allowed): {len(comparison.added)}, e.g. {comparison.added[0]}")
     for line in comparison.failures:

@@ -99,6 +99,53 @@ def test_non_finite_forecast_exit_code(tmp_path, capsys, method, ok, bad):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["probCount_exact", "probCount_mcmc", "normal",
+                                    "structural_scaling", "truncated", "base"])
+def test_forecast_label_that_is_not_a_node_exit_code(tmp_path, capsys, method):
+    # "agg2_l" (letter l) misspells the upper node agg2_1
+    forecasts = {"s1": {"b1": POISSON, "b2": POISSON, "agg2_1": POISSON},
+                 "s2": {"b1": POISSON, "b2": POISSON, "agg2_l": POISSON}}
+    (tmp_path / "fc.json").write_text(json.dumps(forecasts))
+    cfg = write_config(tmp_path / "cfg.json",
+                       hierarchy={"bottom_period_count": 2, "factors": [2]},
+                       method=method, forecasts="fc.json", output_dir="out")
+    assert main(["reconcile", "--config", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "series 's2'" in err and "'agg2_l' is not a node" in err
+    assert not (tmp_path / "out" / "summaries.json").exists()
+
+
+def test_absent_upper_forecast_is_allowed(tmp_path, capsys):
+    (tmp_path / "fc.json").write_text(json.dumps({"b1": POISSON, "b2": POISSON}))
+    cfg = write_config(tmp_path / "cfg.json",
+                       hierarchy={"bottom_period_count": 2, "factors": [2]},
+                       method="probCount_exact", forecasts="fc.json", output_dir="out")
+    assert main(["reconcile", "--config", str(cfg), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("method", ["probCount_exact", "probCount_mcmc", "base"])
+def test_non_integer_count_samples_exit_code(tmp_path, capsys, method):
+    forecasts = {"s1": {"b1": POISSON, "b2": {"samples": [0.5, 1.5, 2.2]}, "agg2_1": POISSON}}
+    (tmp_path / "fc.json").write_text(json.dumps(forecasts))
+    cfg = write_config(tmp_path / "cfg.json",
+                       hierarchy={"bottom_period_count": 2, "factors": [2]},
+                       method=method, forecasts="fc.json", output_dir="out")
+    assert main(["reconcile", "--config", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "series 's1'" in err and "node 'b2'" in err and "must be integers" in err
+
+
+@pytest.mark.parametrize("method", ["normal", "truncated"])
+def test_gaussian_methods_keep_real_valued_samples(tmp_path, capsys, method):
+    forecasts = {"b1": {"samples": [0.5, 1.5, 2.2]}, "b2": {"samples": [1.0, 2.5, 0.25]},
+                 "agg2_1": {"samples": [2.0, 3.5, 2.75]}}
+    (tmp_path / "fc.json").write_text(json.dumps(forecasts))
+    cfg = write_config(tmp_path / "cfg.json",
+                       hierarchy={"bottom_period_count": 2, "factors": [2]},
+                       method=method, forecasts="fc.json", output_dir="out")
+    assert main(["reconcile", "--config", str(cfg), "--quiet"]) == 0
+
+
 def test_observation_gap_exit_code(tmp_path, capsys):
     (tmp_path / "obs.csv").write_text(
         "series_id,t,value\n" + "".join(f"s1,{t},1\n" for t in (0, 1, 5, 5)))

@@ -22,14 +22,20 @@ from reconc.conditioning import (
     summarize,
     trim_joint,
 )
-from reconc.distributions import Poisson, Tabulated
+from reconc.distributions import NegBinomial, Poisson, Tabulated
 from reconc.errors import (
     IncompatibleEvidence,
     SupportTooLarge,
     TruncationWarning,
     UndefinedCorrelation,
 )
-from reconc.hierarchy import aggregate, build_temporal_hierarchy, is_coherent
+from reconc.hierarchy import (
+    Hierarchy,
+    aggregate,
+    build_temporal_hierarchy,
+    default_labels,
+    is_coherent,
+)
 from test_agreement import SEEDS, random_case
 from test_mcmc import MONTHLY_H, ORACLE_CASES, monthly_mixed
 
@@ -426,13 +432,31 @@ def test_edge_mass_ignores_bottoms_the_grid_does_not_cut():
     assert trimmed.diagnostics.edge_mass < 1e-9
 
 
-# every random_case of the agreement suite, and the small temporal cases
-EXACT_CASES = [f"random_{seed}" for seed in SEEDS] + ["minimal", "minimal_uniform", "h421"]
+# single A rows over four bottoms whose grids have unequal sizes (9, 18, 35 and 13 cells)
+ROW_CASES = {
+    "row_non_adjacent": [1, 0, 1, 0],
+    "row_single_bottom": [0, 1, 0, 0],
+    "row_every_bottom": [1, 1, 1, 1],
+}
+
+
+def row_case(row):
+    a = np.array([row])
+    bottom = [Poisson(0.4), Poisson(2.5), NegBinomial(2.0, 0.5), Poisson(1.2)]
+    rate = 1.2 * sum(pmf.mean() for pmf, on in zip(bottom, row) if on)
+    return Hierarchy(a, tuple(default_labels(a))), BaseForecastSet(bottom, [Poisson(rate)])
+
+
+# every random_case of the agreement suite, the small temporal cases and the single rows
+EXACT_CASES = ([f"random_{seed}" for seed in SEEDS] + ["minimal", "minimal_uniform", "h421"]
+               + sorted(ROW_CASES))
 
 
 def exact_case(name):
     if name.startswith("random_"):
         return random_case(int(name.removeprefix("random_")))
+    if name in ROW_CASES:
+        return row_case(ROW_CASES[name])
     if name == "m6":
         return m6_poisson_case()
     return {

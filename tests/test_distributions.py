@@ -71,6 +71,17 @@ def test_fit_negbinomial_all_zero():
     assert d.probs.tolist() == [1.0]
 
 
+@pytest.mark.parametrize("samples, shown", [([0.5, 1.5, 2.2], "0.5"), ([1, 2, 3.25], "3.25"),
+                                             ([1, 2, math.nan], "nan")])
+def test_fit_negbinomial_refuses_non_integer_samples(samples, shown):
+    with pytest.raises(ValueError, match=f"count samples must be integers, got {shown}"):
+        fit_negbinomial(samples)
+
+
+def test_fit_negbinomial_takes_integer_valued_floats():
+    assert fit_negbinomial([0.0, 2.0, 4.0]) == fit_negbinomial([0, 2, 4])
+
+
 def test_fit_negbinomial_recovers_sampled_mean():
     true = NegBinomial(3.0, 0.4)
     rng = np.random.default_rng(7)

@@ -422,13 +422,11 @@ def test_sampler_record_without_cap_share_reads_back_as_nan():
     assert np.isnan(conditioning.SamplerDiagnostics.from_dict(record).cap_share)
 
 
-def test_exact_record_keeps_only_atoms_with_mass(tmp_path):
+def check_exact_record(tmp_path, rates, stored):
+    """Reconcile Poisson forecasts (b1, b2, agg2_1 rates) exactly and check the stored joint."""
     h_cfg = {"bottom_period_count": 2, "factors": [2]}
-    forecasts = {
-        "b1": {"dist": "poisson", "lambda": 2},
-        "b2": {"dist": "poisson", "lambda": 4},
-        "agg2_1": {"dist": "poisson", "lambda": 9},
-    }
+    forecasts = {label: {"dist": "poisson", "lambda": rate}
+                 for label, rate in zip(("b1", "b2", "agg2_1"), rates)}
     (tmp_path / "fc.json").write_text(json.dumps(forecasts))
     cfg = harness.load_config(write_config(
         tmp_path / "cfg.json", hierarchy=h_cfg, method="probCount_exact",
@@ -444,6 +442,7 @@ def test_exact_record_keeps_only_atoms_with_mass(tmp_path):
     with np.load(out / record["joint_file"], allow_pickle=False) as arrays:
         assert sorted(arrays.files) == ["bottom_support", "probabilities"]
         support, probs = arrays["bottom_support"], arrays["probabilities"]
+    assert support.dtype == stored  # the narrowest unsigned dtype holding every count
     assert 0 < len(probs) < len(full.probabilities)
     assert probs.min() > 0 and probs.sum() == pytest.approx(1.0, abs=1e-15)
     grid_index = {tuple(atom): i for i, atom in enumerate(full.bottom_support.tolist())}
@@ -452,8 +451,17 @@ def test_exact_record_keeps_only_atoms_with_mass(tmp_path):
     dropped = np.delete(full.probabilities, kept)
     assert dropped.sum() == pytest.approx(record["diagnostics"]["dropped_mass"], rel=1e-9)
     back = harness._read_artifact(record, out)
+    assert back.bottom_support.dtype == np.int64
     assert np.array_equal(back.bottom_support, support)
     assert back.diagnostics.to_dict() == record["diagnostics"]
+
+
+def test_exact_record_keeps_only_atoms_with_mass(tmp_path):
+    check_exact_record(tmp_path, (2, 4, 9), np.uint8)  # largest kept count 21
+
+
+def test_exact_record_stores_counts_above_255_as_uint16(tmp_path):
+    check_exact_record(tmp_path, (300, 310, 640), np.uint16)  # largest kept count 421
 
 
 def _score_with_extra_series(tmp_path, sid, values, n_skipped):

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -378,6 +379,57 @@ def test_no_worker_outlives_its_process():
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+KILLED_MAKER_SCRIPT = """
+import multiprocessing
+import time
+from reconc import conditioning
+
+conditioning._kept_pool(2).submit(int).result()  # a fork pool starts its workers here
+print(*[p.pid for p in multiprocessing.active_children()], flush=True)
+time.sleep(120)
+"""
+
+
+def _gone(pid: int) -> bool:
+    """Whether process `pid` has exited; a zombie that no one reaped yet counts as gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    except OSError:  # no /proc: ask the kernel
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        return False
+    return stat.rpartition(")")[2].split()[0] in ("Z", "X")
+
+
+@pytest.mark.skipif(conditioning._usable_cpus() < 2
+                    or "fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the kept pool needs 2 usable CPUs and the fork start method")
+def test_workers_end_when_their_maker_is_killed():
+    env = {**os.environ, "PYTHONPATH": str(Path(conditioning.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-c", KILLED_MAKER_SCRIPT], stdout=subprocess.PIPE,
+                            text=True, env=env)
+    try:
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+    finally:
+        proc.kill()
+        proc.wait(60)
+        proc.stdout.close()
+    assert len(pids) == 2
+    deadline = time.monotonic() + 5
+    try:
+        while not all(_gone(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert all(_gone(pid) for pid in pids)
+    finally:
+        for pid in pids:
+            if not _gone(pid):  # a worker that outlived its maker would wait for good
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_a_pool_that_lost_a_worker_is_dropped(monkeypatch):
