@@ -207,16 +207,35 @@ def _check_series_id(sid: str):
         raise ValueError(f"series id {sid!r} is empty or not filename-safe")
 
 
+def _csv_integer(path, line: int, rec: dict, column: str) -> int:
+    """`int(rec[column])`, refused by a ValueError naming the file, line and column."""
+    try:
+        return int(rec[column])
+    except (TypeError, ValueError):  # TypeError: a short row reads None
+        raise ValueError(f"{path}, line {line}, column {column!r}: expected an integer, "
+                         f"got {rec[column]!r}") from None
+
+
 def read_observations(path) -> dict[str, np.ndarray]:
     """Read a series_id,t,value CSV into per-series integer arrays.
+
+    The file is read as UTF-8 after any byte-order mark. A missing column,
+    or a t or value that is not an integer, is refused by file, line and column.
 
     Raises:
         ObservationGap: a series' sorted times skip or repeat a period.
     """
     rows: dict[str, list[tuple[int, int]]] = {}
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.setdefault(rec["series_id"], []).append((int(rec["t"]), int(rec["value"])))
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh)
+        for column in ("series_id", "t", "value"):
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"{path}, line 1: no {column!r} column in the header "
+                                 f"{reader.fieldnames}")
+        for rec in reader:
+            rows.setdefault(rec["series_id"], []).append(
+                (_csv_integer(path, reader.line_num, rec, "t"),
+                 _csv_integer(path, reader.line_num, rec, "value")))
     out = {}
     for sid, pairs in rows.items():
         _check_series_id(sid)
@@ -286,22 +305,33 @@ def empirical_poisson_forecasts(train_values, h: Hierarchy) -> dict[str, dict]:
 # forecast files
 
 def read_forecasts(path) -> dict[str, dict[str, dict]]:
-    """Read a forecast JSON file, normalized to {series: {label: entry}}."""
+    """Read a forecast JSON file, normalized to {series: {label: entry}}.
+
+    The file is nested, {series: {label: entry}}, when every value is an
+    object with neither a "dist" nor a "samples" key; otherwise it is one
+    series' {label: entry} map, read as series "series".
+    """
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict) or not raw:
         raise ValueError("forecast file must be a non-empty JSON object")
-    flat = all(isinstance(v, dict) and ("dist" in v or "samples" in v) for v in raw.values())
-    out = {"series": raw} if flat else raw
+    nested = all(isinstance(v, dict) and "dist" not in v and "samples" not in v
+                 for v in raw.values())
+    out = raw if nested else {"series": raw}
     for sid in out:
         _check_series_id(sid)
     return out
 
 
 def _parse_entry(parse, entries: dict[str, dict], label: str):
-    """`parse(entries[label])`, naming the node in a ValueError it raises."""
+    """`parse(entries[label])`, refusing a malformed entry by a ValueError naming the node."""
+    entry = entries[label]
+    if not isinstance(entry, dict):
+        raise ValueError(f"node {label!r}: forecast entry must be a JSON object, got {entry!r}")
     try:
-        return parse(entries[label])
-    except ValueError as exc:
+        return parse(entry)
+    except KeyError as exc:
+        raise ValueError(f"node {label!r}: forecast entry has no {exc.args[0]!r} key") from None
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"node {label!r}: {exc}") from exc
 
 
@@ -443,7 +473,7 @@ def reconcile_series(h: Hierarchy, method: str, entries: dict[str, dict],
         for label in h.node_labels:
             if label not in entries:
                 raise MissingForecast(f"base method needs a forecast for node {label!r}")
-            if entries[label].get("dist") == "gaussian":
+            if isinstance(entries[label], dict) and entries[label].get("dist") == "gaussian":
                 g = _parse_entry(gaussian_from_dict, entries, label)
                 summaries[label] = _gaussian_node_summary(g.mean, g.variance, alpha)
                 continue

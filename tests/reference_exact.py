@@ -1,0 +1,52 @@
+"""Per-atom references for the exact grid and its trim, kept as test oracles.
+
+`per_atom_chain` computes the probabilities of `reconcile_exact` atom by
+atom, multiplying the factors in the order the grid does, so it must equal
+the grid to the bit. `full_sort_trim` is the trim rule as `_trim` applied it
+before grouping atoms by binary exponent: it sorts every atom.
+"""
+
+import numpy as np
+
+from reconc.conditioning import ATOM_TOL
+from reconc.distributions import DEFAULT_EPSILON
+
+
+def per_atom_chain(h, base, epsilon=DEFAULT_EPSILON):
+    """Returns (support, probabilities) over the grid's atoms in C order.
+
+    Step k appends bottom k to every atom and multiplies its marginal in,
+    then multiplies in, in A-row order, each present evidence whose row ends
+    at bottom k, its pmf scaled by the inverse total after the previous
+    evidence. The probabilities are divided by their total once, at the end.
+    """
+    sizes = [pmf.quantile_truncate(epsilon) + 1 for pmf in base.bottom]
+    tops = np.array(sizes) - 1
+    support, p = np.zeros((1, 0), dtype=np.int64), np.ones(1)
+    scale, total = 1.0, None
+    for k, (pmf, size) in enumerate(zip(base.bottom, sizes)):
+        support = np.column_stack([np.repeat(support, size, axis=0),
+                                   np.tile(np.arange(size), len(support))])
+        p, total = np.repeat(p, size) * pmf.pmf(np.arange(size))[support[:, k]], None
+        for i, evidence in enumerate(base.upper):
+            if evidence is None or np.flatnonzero(h.a_matrix[i])[-1] != k:
+                continue
+            table = evidence.pmf(np.arange(h.a_matrix[i] @ tops + 1)) * scale
+            p = p * table[support @ h.a_matrix[i, : k + 1]]
+            total = p.sum()
+            scale = 1 / total
+    return support, p / (p.sum() if total is None else total)
+
+
+def full_sort_trim(p):
+    """Returns (ascending indices of the kept atoms, dropped mass) by a full sort.
+
+    The kept atoms are those at least the lightest atom whose ascending
+    running total passes ATOM_TOL; the dropped mass is the running total of
+    the atoms below it.
+    """
+    ascending = np.sort(p)
+    cumulative = np.cumsum(ascending)
+    kept_at = np.flatnonzero(p >= ascending[np.searchsorted(cumulative, ATOM_TOL, side="right")])
+    n_dropped = len(p) - len(kept_at)
+    return kept_at, float(cumulative[n_dropped - 1]) if n_dropped else 0.0

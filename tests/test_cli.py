@@ -146,6 +146,67 @@ def test_gaussian_methods_keep_real_valued_samples(tmp_path, capsys, method):
     assert main(["reconcile", "--config", str(cfg), "--quiet"]) == 0
 
 
+H2_CONFIG = {"bottom_period_count": 2, "factors": [2]}
+
+
+@pytest.mark.parametrize("method", ["probCount_exact", "normal", "base"])
+@pytest.mark.parametrize("nested", [False, True])
+def test_forecast_entry_without_its_parameter_exit_code(tmp_path, capsys, method, nested):
+    forecasts = {"b1": POISSON, "b2": {"dist": "poisson"}, "agg2_1": POISSON}
+    (tmp_path / "fc.json").write_text(json.dumps({"s1": forecasts} if nested else forecasts))
+    cfg = write_config(tmp_path / "cfg.json", hierarchy=H2_CONFIG, method=method,
+                       forecasts="fc.json", output_dir="out")
+    assert main(["reconcile", "--config", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    series = "s1" if nested else "series"
+    assert err == (f"error: series {series!r}: node 'b2': forecast entry has no 'lambda' "
+                   "key\n")
+
+
+@pytest.mark.parametrize("method", ["probCount_exact", "normal", "base"])
+def test_forecast_entry_that_is_not_an_object_exit_code(tmp_path, capsys, method):
+    # a flat file whose b1 entry is a number, not a nested file with series b1
+    (tmp_path / "fc.json").write_text(json.dumps({"b1": 3, "b2": POISSON, "agg2_1": POISSON}))
+    cfg = write_config(tmp_path / "cfg.json", hierarchy=H2_CONFIG, method=method,
+                       forecasts="fc.json", output_dir="out")
+    assert main(["reconcile", "--config", str(cfg), "--quiet"]) == 2
+    assert capsys.readouterr().err == ("error: series 'series': node 'b1': forecast entry "
+                                       "must be a JSON object, got 3\n")
+
+
+OBS_ROWS = "".join(f"s1,{t},{t % 3}\n" for t in range(6))
+
+
+@pytest.mark.parametrize("body, where", [
+    ("series_id,t,value\ns1,0,2.5\n" + OBS_ROWS, "line 2, column 'value': expected an "
+                                                  "integer, got '2.5'"),
+    ("series_id,t,value\n" + OBS_ROWS + "s1,6,\n", "line 8, column 'value': expected an "
+                                                    "integer, got ''"),
+    ("series_id,t,value\n" + OBS_ROWS + "s1,x,1\n", "line 8, column 't': expected an "
+                                                     "integer, got 'x'"),
+    ("series_id,t\n" + OBS_ROWS, "line 1: no 'value' column in the header ['series_id', 't']"),
+], ids=["fractional_value", "empty_value", "non_integer_t", "no_value_column"])
+def test_malformed_observation_exit_code(tmp_path, capsys, body, where):
+    (tmp_path / "obs.csv").write_text(body)
+    cfg = write_config(tmp_path / "cfg.json", hierarchy=H2_CONFIG, method="normal",
+                       output_dir="out")
+    assert main(["reconcile", "--config", str(cfg), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'obs.csv'}, {where}\n"
+
+
+def test_observations_with_a_byte_order_mark_read_as_without(tmp_path, capsys):
+    text = "series_id,t,value\n" + OBS_ROWS
+    (tmp_path / "obs.csv").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.csv").write_text("\ufeff" + text, encoding="utf-8")
+    assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    for name, obs in (("plain", "obs.csv"), ("bom", "bom.csv")):
+        cfg = write_config(tmp_path / f"{name}.json", hierarchy=H2_CONFIG, method="normal",
+                           observations=obs, output_dir=name)
+        assert main(["reconcile", "--config", str(cfg), "--quiet"]) == 0
+    assert ((tmp_path / "bom" / "summaries.json").read_bytes()
+            == (tmp_path / "plain" / "summaries.json").read_bytes())
+
+
 def test_observation_gap_exit_code(tmp_path, capsys):
     (tmp_path / "obs.csv").write_text(
         "series_id,t,value\n" + "".join(f"s1,{t},1\n" for t in (0, 1, 5, 5)))

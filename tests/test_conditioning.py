@@ -14,6 +14,7 @@ from reconc.conditioning import (
     CountJoint,
     MarginalSummary,
     _node_values,
+    _trim,
     bottom_up_exact,
     condition_on_upper,
     correlation,
@@ -36,6 +37,7 @@ from reconc.hierarchy import (
     default_labels,
     is_coherent,
 )
+from reference_exact import full_sort_trim, per_atom_chain
 from test_agreement import SEEDS, random_case
 from test_mcmc import MONTHLY_H, ORACLE_CASES, monthly_mixed
 
@@ -469,6 +471,16 @@ def exact_case(name):
 
 @pytest.mark.parametrize("case", EXACT_CASES)
 def test_reconcile_exact_equals_the_per_atom_chain_to_the_bit(case):
+    # the per-atom chain multiplies the factors in the grid's order
+    h, base = exact_case(case)
+    support, probabilities = per_atom_chain(h, base)
+    grid = reconcile_exact(h, base)
+    assert np.array_equal(grid.bottom_support, support)
+    assert np.array_equal(grid.probabilities, probabilities)
+
+
+@pytest.mark.parametrize("case", EXACT_CASES + ["m6"])
+def test_reconcile_exact_is_within_rounding_of_the_sequential_updates(case):
     h, base = exact_case(case)
     chain = bottom_up_exact(h, base)
     for i, evidence in enumerate(base.upper):
@@ -477,7 +489,72 @@ def test_reconcile_exact_equals_the_per_atom_chain_to_the_bit(case):
     grid = reconcile_exact(h, base)
     assert np.array_equal(grid.bottom_support, chain.bottom_support)
     assert grid.bottom_support.strides == chain.bottom_support.strides
-    assert np.array_equal(grid.probabilities, chain.probabilities)
+    assert np.array_equal(grid.probabilities == 0, chain.probabilities == 0)
+    # a cell is a product of m + n_upper factors, normalized: a few roundings per factor
+    rtol = 4 * (h.m + h.n_upper) * np.finfo(float).eps
+    np.testing.assert_allclose(grid.probabilities, chain.probabilities, rtol=rtol, atol=0)
+
+
+def test_incompatible_evidence_names_the_first_evidence_applied_without_mass():
+    # each evidence is compatible alone: b1 = 1 by agg_b1, but b1 + b2 = 0 by agg_b1_b2
+    a = np.array([[1, 1], [1, 0]])
+    h = Hierarchy(a, ("agg_b1_b2", "agg_b1", "b1", "b2"))
+    half = Tabulated(np.array([0.5, 0.5]))
+    base = BaseForecastSet([half, half], [Tabulated(np.array([1.0])),
+                                          Tabulated(np.array([0.0, 1.0]))])
+    # the grid applies row 1 at b1's axis, then row 0 once b2's axis exists
+    with pytest.raises(IncompatibleEvidence, match="upper node 0 "):
+        reconcile_exact(h, base)
+    with pytest.raises(IncompatibleEvidence, match="upper node 1 "):
+        condition_on_upper(condition_on_upper(bottom_up_exact(h, base), h, 0, base.upper[0]),
+                           h, 1, base.upper[1])
+
+
+# purpose-built atom arrays for the exponent-grouped trim
+TIED = 0.4e-12  # the running total passes ATOM_TOL at the third of five tied atoms
+TRIM_ARRAYS = {
+    "ties_at_tau": np.array([0.5, TIED, 1e-14, TIED, 0.3, TIED, 1e-14, TIED, TIED, 0.2]),
+    "zeros_and_subnormals": np.array([0.0, 5e-324, 0.6, 1e-310, 2e-13, 0.0, 0.4, 9e-13]),
+    "one_atom": np.array([1.0]),
+    # index order adds these to 1.0000000000000002e-12 and sorted order to 1e-12:
+    # their group passes ATOM_TOL, its sorted running total does not
+    "group_total_rounds_past_tol": np.array(
+        [3.354218015946685e-13, 3.360850371818515e-13, 3.2849316122348003e-13, 0.5, 0.5]),
+}
+
+
+def _assert_trims_like_the_full_sort(p):
+    kept_at, kept, diagnostics = _trim(p, 0.0)
+    expected_at, expected_dropped = full_sort_trim(p)
+    assert np.array_equal(kept_at, expected_at)
+    assert np.array_equal(kept, p[expected_at] / p[expected_at].sum())
+    # the same atoms added in another order
+    assert diagnostics.dropped_mass == pytest.approx(
+        expected_dropped, rel=len(p) * np.finfo(float).eps, abs=0)
+
+
+@pytest.mark.parametrize("case", EXACT_CASES + ["m6"])
+def test_grouped_trim_keeps_the_atoms_of_the_full_sort_on_exact_grids(case):
+    _assert_trims_like_the_full_sort(reconcile_exact(*exact_case(case)).probabilities)
+
+
+@pytest.mark.parametrize("case", sorted(TRIM_ARRAYS))
+def test_grouped_trim_keeps_the_atoms_of_the_full_sort_on_built_arrays(case):
+    _assert_trims_like_the_full_sort(TRIM_ARRAYS[case])
+
+
+def test_trim_joint_reads_non_contiguous_probabilities():
+    full = reconcile_exact(MINIMAL, poisson_249())
+    strided = np.zeros(2 * len(full.probabilities))
+    strided[::2] = full.probabilities
+    joint = CountJoint(full.bottom_support, strided[::2])
+    assert not joint.probabilities.flags.contiguous
+    got, expected = trim_joint(joint, poisson_249().bottom), trim_joint(full, poisson_249().bottom)
+    assert np.array_equal(got.bottom_support, expected.bottom_support)
+    assert np.array_equal(got.probabilities, expected.probabilities)
+    assert got.diagnostics == expected.diagnostics
+    assert np.array_equal(got.bottom_support,
+                          full.bottom_support[full_sort_trim(full.probabilities)[0]])
 
 
 def _pipeline_exact(h, base, entries=None):
