@@ -38,10 +38,10 @@ DEFAULT_CELL_CAP = 10**7
 #: per-bottom tail mass ignored by the MCMC lookup tables
 _MCMC_TAIL = 1e-15
 
-#: total probability that trim_joint may drop from an exact joint
+#: total probability that the pipeline's trim (`_trim`) may drop from an exact joint
 ATOM_TOL = 1e-12
 
-#: edge mass above which trim_joint warns that the grid cuts posterior mass
+#: edge mass above which `_trim` warns that the grid cuts posterior mass
 EDGE_MASS_WARN = 1e-6
 
 
@@ -80,21 +80,10 @@ class SamplerDiagnostics:
                 "n_kept": self.n_kept, "burn_in": self.burn_in, "thin": self.thin,
                 "cap_share": self.cap_share}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SamplerDiagnostics":
-        """Inverse of to_dict; the chain count is that of the acceptance rates.
-
-        A record written before the cap share was kept reads back with NaN.
-        """
-        rates = np.asarray(d["acceptance_rates"], dtype=float)
-        return cls(rates, np.asarray(d["rhat"], dtype=float), n_chains=len(rates),
-                   n_kept=d["n_kept"], burn_in=d["burn_in"], thin=d["thin"],
-                   cap_share=d.get("cap_share", math.nan))
-
 
 @dataclass
 class TrimDiagnostics:
-    """Probability mass that trim_joint dropped, and mass at the grid's edge."""
+    """Probability mass that `_trim` dropped, and mass at the grid's edge."""
 
     dropped_mass: float
     edge_mass: float
@@ -108,7 +97,7 @@ class CountJoint:
     """Coherent joint pmf over bottom count vectors, held as weighted atoms.
 
     Exact enumeration stores distinct atoms with their probabilities (the
-    full grid, or after trim_joint only the atoms that carry mass); a
+    full grid, or after `_trim` only the atoms that carry mass); a
     sampler stores its draws in draw order (chains concatenated), each an
     atom of weight 1/N. Upper values are implied by A @ b.
     """
@@ -190,8 +179,8 @@ def _exact_grid(h: Hierarchy, base: BaseForecastSet, epsilon: float, cell_cap: i
 
 def _grid_joint(grid: np.ndarray) -> CountJoint:
     """The joint with one atom per cell of a probability grid, in C order."""
-    # column-major view of the C-order index grid; a full grid written by
-    # np.savez_compressed (the demos) then deflates column by column, which is fast
+    # column-major view of the C-order index grid; a full grid stored as an .npz
+    # (the demos, deflated at level 1) then deflates column by column, which is fast
     support = np.indices(grid.shape, dtype=np.int64).reshape(grid.ndim, -1).T
     return CountJoint(support, grid.reshape(-1))
 
@@ -265,15 +254,17 @@ def reconcile_exact(
 
 
 def _trim(p: np.ndarray, edge_mass: float) -> tuple[np.ndarray, np.ndarray, TrimDiagnostics]:
-    """trim_joint's rule on atom probabilities, given their edge mass.
+    """Keep the atoms that carry mass, given atom probabilities and their edge mass.
 
-    Returns the ascending flat indices of the kept atoms, their
-    renormalized probabilities and the diagnostics. The kept atoms are those
-    at least tau, the lightest atom whose ascending running total passes
-    ATOM_TOL. Grouped by float64 binary exponent, atoms are in value order
-    group by group (zeros and subnormals share group 0), so only the group
-    where the running total of group masses passes ATOM_TOL is sorted. The
-    dropped mass, the lower groups' mass plus the sorted in-group atoms
+    The kept atoms are those at least tau, the lightest atom whose ascending
+    running total passes ATOM_TOL: zero-mass atoms always go, and every
+    dropped atom is lighter than every kept one. Returns the ascending flat
+    indices of the kept atoms, their renormalized probabilities and the
+    diagnostics, and warns (TruncationWarning) on an edge mass above
+    EDGE_MASS_WARN. Grouped by float64 binary exponent, atoms are in value
+    order group by group (zeros and subnormals share group 0), so only the
+    group where the running total of group masses passes ATOM_TOL is sorted.
+    The dropped mass, the lower groups' mass plus the sorted in-group atoms
     below tau, is a full sort's running sum added in another order.
     """
     if edge_mass > EDGE_MASS_WARN:
@@ -297,41 +288,14 @@ def _trim(p: np.ndarray, edge_mass: float) -> tuple[np.ndarray, np.ndarray, Trim
     return kept_at, kept / kept.sum(), TrimDiagnostics(dropped_mass, edge_mass)
 
 
-def trim_joint(joint: CountJoint, bottom: list[CountPmf]) -> CountJoint:
-    """Keep the atoms of a full exact grid that carry mass.
-
-    The lightest atoms are dropped while their total mass stays within
-    ATOM_TOL, so zero-mass atoms always go and every dropped atom is lighter
-    than every kept one. The kept atoms stay in grid order and are
-    renormalized. The diagnostics record the dropped mass and the edge
-    mass: the mass, before trimming, on atoms where some bottom j sits at
-    the grid's top cell while its pmf `bottom[j]` has mass beyond it. It is
-    summed over the cut bottoms j in order, on the atoms at j's top and below
-    the top of every earlier cut bottom. A large edge mass means the
-    truncated grid cut posterior mass. This is the per-atom reference for
-    _reconcile_exact_trimmed.
-
-    Warns:
-        TruncationWarning: edge mass above EDGE_MASS_WARN.
-    """
-    support, p = joint.bottom_support, joint.probabilities
-    tops = support.max(axis=0)
-    edge_mass, below_top = 0.0, np.ones(len(p), dtype=bool)
-    for j, pmf in enumerate(bottom):
-        if pmf.pmf(tops[j] + 1) > 0:
-            at_top = support[:, j] == tops[j]
-            edge_mass += float(p[below_top & at_top].sum())
-            below_top &= ~at_top
-    kept_at, kept, diagnostics = _trim(p, edge_mass)
-    return CountJoint(support[kept_at], kept, diagnostics)
-
-
 def _reconcile_exact_trimmed(h: Hierarchy, base: BaseForecastSet) -> CountJoint:
-    """trim_joint(reconcile_exact(h, base), base.bottom), equal to the bit.
+    """reconcile_exact(h, base) with only the atoms that `_trim` keeps, in grid order.
 
-    The edge mass is summed over disjoint slabs of the grid, each copied to
-    C order to add as trim_joint's gathered atoms do, and support rows are
-    built for the kept atoms only: no grid-sized mask or support is made.
+    The edge mass is the mass on atoms where some bottom j sits at the
+    grid's top cell while its pmf goes on beyond it, summed over the cut
+    bottoms j in order on the atoms below every earlier cut bottom's top;
+    each such slab is summed in C order, as its atoms in grid order would
+    be. Support rows are built for the kept atoms only.
     """
     grid = _exact_grid(h, base, DEFAULT_EPSILON, DEFAULT_CELL_CAP, base.upper)
     edge_mass, below_top = 0.0, [slice(None)] * grid.ndim
@@ -485,11 +449,9 @@ def _run_chain(rng: np.random.Generator, moves: list[tuple], full_tables: list[l
     fills `out` once at the end. Until it reaches a state of positive
     target mass, a chain accepts an in-range proposal iff the full target
     (`full_tables`, one log-pmf list per bottom and upper) there is finite.
-    From then on one call of the `_walker` of its moves' arity, fetched
-    here, walks the rest of the chain: it scores a move by summing its
-    delta-table entries at the current state, the bottom's first and then
-    the uppers' in column order; the pad terms add 0.0, so every accept
-    decision is that of summing the column's own entries.
+    From then on one call of the `_walker` of its moves' arity walks the
+    rest of the chain; the pad terms add 0.0, so every accept decision is
+    that of summing the column's own entries.
     """
     m = len(caps)
     total_iters = burn_in + len(out) * thin
@@ -648,22 +610,16 @@ def reconcile_mcmc(
     upper node in column A[:, j], read from delta tables built once per
     call. The diagnostics' cap share is the share of kept draws in which
     some bottom sits at its cap while its pmf has mass beyond it, the rule
-    trim_joint applies to a grid's edge. Chains start at
+    the pipeline's trim (`_trim`) applies to a grid's edge. Chains start at
     the per-bottom medians, run `burn_in` discarded iterations (default: half
     the sampling phase) and then keep every `thin`-th state until
     `n_samples` draws per chain are collected. Each chain draws from its own
     generator spawned from `seed`, so its draws depend only on `seed` and
     its index, never on the number of worker processes. The tables and the
-    start are built once here; the chains then run on a pool of forked
-    worker processes that this process keeps. The first call that needs
-    `min(n_chains, usable CPUs)` > 1 workers starts it with that many;
-    later calls reuse it, and a call that needs more workers replaces it
-    with a larger one. Its workers end when the interpreter exits. A pool
-    that lost a worker is dropped, and that call's chains run in this
-    process. Usable CPUs are `len(os.sched_getaffinity(0))`, or
-    `os.cpu_count()` where that call does not exist. The chains run in
-    this process instead with 1 usable CPU, 1 chain, no "fork" start
-    method, or from a daemonic process.
+    start are built once here; the chains then run on the fork pool this
+    process keeps (`_kept_pool`), with `min(n_chains, usable CPUs)` workers.
+    They run in this process instead with 1 usable CPU, 1 chain, no "fork"
+    start method, from a daemonic process, or where the pool lost a worker.
 
     Raises:
         ValueError: n_chains, n_samples or thin below 1, or burn_in below 0.
@@ -735,13 +691,6 @@ def reconcile_mcmc(
     return CountJoint.from_draws(kept.reshape(-1, h.m), diag)
 
 
-def _node_values(joint: CountJoint, h: Hierarchy, node_index: int):
-    """Values of one node across the atoms, with matching weights."""
-    if not 0 <= node_index < h.n:
-        raise DimensionError(f"node index {node_index} out of range for n={h.n}")
-    return joint.bottom_support @ h.s_matrix[node_index], joint.probabilities
-
-
 @dataclass
 class MarginalSummary:
     """Per-node view of a reconciled joint."""
@@ -789,9 +738,8 @@ def summarize(joint: CountJoint, h: Hierarchy, alpha: float = 0.1) -> dict[str, 
     each atom through the relevant A row. Intervals are equal-tailed
     central intervals at level 1 - alpha. The support is read column by
     column from one C-contiguous transposed copy (free for the F-ordered
-    grids of reconcile_exact); a node's values are its bottoms' columns
-    added in place into one buffer of the atom count, which gives the
-    integers of _node_values without an (n, atoms) array.
+    grids of reconcile_exact), and a node's bottoms' columns are added in
+    place into one buffer of the atom count: no (n, atoms) array is made.
     """
     columns = np.ascontiguousarray(joint.bottom_support.T)
     buffer = np.empty(len(joint.probabilities), dtype=columns.dtype)
@@ -807,9 +755,12 @@ def summarize(joint: CountJoint, h: Hierarchy, alpha: float = 0.1) -> dict[str, 
 
 
 def correlation(joint: CountJoint, h: Hierarchy, node_i: int, node_j: int) -> float:
-    """Pearson correlation between two nodes under the reconciled joint."""
-    vi, w = _node_values(joint, h, node_i)
-    vj, _ = _node_values(joint, h, node_j)
+    """Pearson correlation between two nodes, by node index, under the reconciled joint."""
+    for index in (node_i, node_j):
+        if not 0 <= index < h.n:
+            raise DimensionError(f"node index {index} out of range for n={h.n}")
+    vi, vj = (joint.bottom_support @ h.s_matrix[index] for index in (node_i, node_j))
+    w = joint.probabilities
     mi, mj = vi @ w, vj @ w
     var_i = (vi - mi) ** 2 @ w
     var_j = (vj - mj) ** 2 @ w

@@ -268,6 +268,14 @@ def fit_gaussian(samples) -> GaussianForecast:
     return GaussianForecast(float(x.mean()), max(float(x.var(ddof=1)), VARIANCE_FLOOR))
 
 
+def _number(d: dict, key: str) -> float:
+    """`d[key]` as a float, refusing by key anything but a JSON number (a bool, a string)."""
+    value = d[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"forecast entry key {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def count_pmf_from_dict(d: dict) -> CountPmf:
     """Parse a forecast-file entry into a count pmf.
 
@@ -278,9 +286,9 @@ def count_pmf_from_dict(d: dict) -> CountPmf:
         return fit_negbinomial(d["samples"])
     kind = d.get("dist")
     if kind == "poisson":
-        return Poisson(float(d["lambda"]))
+        return Poisson(_number(d, "lambda"))
     if kind == "negbin":
-        return NegBinomial(float(d["r"]), float(d["p"]))
+        return NegBinomial(_number(d, "r"), _number(d, "p"))
     if kind == "tabulated":
         return Tabulated(np.asarray(d["probs"], dtype=float))
     raise ValueError(f"not a count forecast entry: {d!r}")
@@ -292,7 +300,7 @@ def gaussian_from_dict(d: dict) -> GaussianForecast:
         return fit_gaussian(d["samples"])
     kind = d.get("dist")
     if kind == "gaussian":
-        return GaussianForecast(float(d["mean"]), float(d["var"]))
+        return GaussianForecast(_number(d, "mean"), _number(d, "var"))
     if kind in ("poisson", "negbin", "tabulated"):
         pmf = count_pmf_from_dict(d)
         return GaussianForecast(pmf.mean(), max(pmf.variance(), VARIANCE_FLOOR))

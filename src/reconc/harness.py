@@ -16,20 +16,15 @@ import os
 import warnings
 import zipfile
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special
 
 from . import conditioning, mint, scoring
-from .conditioning import (
-    BaseForecastSet,
-    CountJoint,
-    MarginalSummary,
-    SamplerDiagnostics,
-    TrimDiagnostics,
-    summarize,
-)
+from .conditioning import BaseForecastSet, CountJoint, MarginalSummary, summarize
 from .distributions import (
     GaussianForecast,
     Poisson,
@@ -49,10 +44,6 @@ from .errors import (
 )
 from .hierarchy import Hierarchy, aggregate, build_temporal_hierarchy
 from .scoring import ScoreReport
-
-METHODS = ("probCount_exact", "probCount_mcmc", "normal", "structural_scaling",
-           "truncated", "base")
-STOCHASTIC_METHODS = ("probCount_mcmc", "truncated")
 
 #: spec of the built-in demo forecaster: one Poisson per node, rate equal to
 #: the training mean of the node's aggregation level
@@ -141,10 +132,11 @@ def _settings(section: str, cls, values: dict):
 def load_config(path) -> ExperimentConfig:
     """Parse an experiment config JSON file.
 
-    `test_length` and the `sampler` counts and seed must be JSON integers.
-    The RECONC_SEED environment variable overrides the sampler seed; it and
-    the sampler seed must be non-negative integers. A seed is mandatory
-    whenever a stochastic method (probCount_mcmc, truncated) is selected.
+    `test_length` and the `sampler` counts and seed must be JSON integers:
+    `test_length`, `chains`, `draws` and `thin` at least 1, `burn_in` and the
+    seed at least 0. The RECONC_SEED environment variable overrides the
+    sampler seed and must be a non-negative integer too. A seed is mandatory
+    whenever the method stores sampled draws (probCount_mcmc, truncated).
     `scoring.alpha` must be a JSON number in (0, 1). The config and its
     `hierarchy`, `sampler` and `scoring` values must be JSON objects. The
     `scoring` keys `es_batch` and `seed` of older configs are ignored with
@@ -169,7 +161,7 @@ def load_config(path) -> ExperimentConfig:
     scoring_cfg = _settings("scoring", ScoringSettings, scoring_raw)
     test_length = _integer("test_length", raw.get("test_length"), minimum=1)
     for key, value in vars(sampler).items():
-        _integer(f"sampler.{key}", value, minimum=0 if key == "seed" else None)
+        _integer(f"sampler.{key}", value, minimum=0 if key in ("burn_in", "seed") else 1)
     alpha = scoring_cfg.alpha
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
         raise ValueError(f"scoring.alpha must be a number, got {alpha!r}")
@@ -181,8 +173,8 @@ def load_config(path) -> ExperimentConfig:
 
     method = raw.get("method")
     if method is not None and method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method in STOCHASTIC_METHODS and sampler.seed is None:
+        raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
+    if method is not None and METHODS[method].store is _store_draws and sampler.seed is None:
         raise ValueError(f"method {method!r} is stochastic: a sampler seed is mandatory")
 
     return ExperimentConfig(
@@ -396,113 +388,115 @@ def _narrowest(values: np.ndarray) -> np.ndarray:
     return values.astype(np.min_scalar_type(values.max(initial=0)), copy=False)
 
 
-def _write_artifact(out_dir: Path, h: Hierarchy, method: str, sid: str, joint) -> dict:
-    """Write one series' reconciled joint; returns the record keys that locate it.
+def _store_draws(out_dir: Path, h: Hierarchy, sid: str, joint: CountJoint) -> dict:
+    """Sampler draws as a CSV, one equal-weight atom per row in draw order."""
+    fname = f"samples_{sid}.csv"
+    header = io.StringIO()
+    csv.writer(header).writerow(h.bottom_labels)
+    with open(out_dir / fname, "wb") as fh:
+        fh.write(header.getvalue().encode() + _csv_body(joint.draws))
+    return {"samples_file": fname}
 
-    Sampler draws go to a CSV, one equal-weight atom per row in draw order;
-    any other joint goes to an .npz holding its arrays by field name, each
-    non-negative integer array in its narrowest unsigned dtype. An exact
-    joint is deflated at level 1 (`np.savez_compressed` takes no level);
-    the small Gaussian arrays keep zlib's default level, the bytes of
-    `np.savez_compressed`. A joint's diagnostics go to the record; `base`
-    stores no joint, only the diagnostics that reconcile_series returns.
-    """
-    if method == "base":
-        return {"diagnostics": joint}
-    if method in STOCHASTIC_METHODS:
-        fname = f"samples_{sid}.csv"
-        header = io.StringIO()
-        csv.writer(header).writerow(h.bottom_labels)
-        with open(out_dir / fname, "wb") as fh:
-            fh.write(header.getvalue().encode() + _csv_body(joint.draws))
-        keys = {"samples_file": fname}
-    else:
-        fname = f"joint_{sid}.npz"
-        level = 1 if isinstance(joint, CountJoint) else None
-        with zipfile.ZipFile(out_dir / fname, "w", zipfile.ZIP_DEFLATED,
-                             compresslevel=level) as zf:
-            for name, value in vars(joint).items():
-                if isinstance(value, np.ndarray):
-                    with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
-                        np.lib.format.write_array(fh, _narrowest(value), allow_pickle=False)
-        keys = {"joint_file": fname}
-    if getattr(joint, "diagnostics", None) is not None:
-        keys["diagnostics"] = joint.diagnostics.to_dict()
+
+def _store_npz(out_dir: Path, h: Hierarchy, sid: str, joint, level: int | None) -> dict:
+    """The joint's arrays by field name, each `_narrowest`, in an .npz deflated at `level`."""
+    fname = f"joint_{sid}.npz"
+    with zipfile.ZipFile(out_dir / fname, "w", zipfile.ZIP_DEFLATED, compresslevel=level) as zf:
+        for name, value in vars(joint).items():
+            if isinstance(value, np.ndarray):
+                with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                    np.lib.format.write_array(fh, _narrowest(value), allow_pickle=False)
+    return {"joint_file": fname}
+
+
+def _store_nothing(out_dir: Path, h: Hierarchy, sid: str, diagnostics: dict) -> dict:
+    """No joint: the artifact is the record's diagnostics."""
+    return {"diagnostics": diagnostics}
+
+
+def _write_artifact(out_dir: Path, h: Hierarchy, sid: str, artifact, store: Callable) -> dict:
+    """Write one series' artifact by `store`; returns the record keys that locate it."""
+    keys = store(out_dir, h, sid, artifact)
+    if getattr(artifact, "diagnostics", None) is not None:
+        keys["diagnostics"] = artifact.diagnostics.to_dict()
     return keys
 
 
-def _read_artifact(record: dict, method_dir: Path):
-    """The joint `_write_artifact` stored for one series record (None if none was).
+def _count_summaries(joint: CountJoint, h: Hierarchy, alpha: float):
+    return {k: s.to_dict() for k, s in summarize(joint, h, alpha).items()}, joint
 
-    An exact joint's atoms come back as int64, whatever their stored dtype.
-    """
-    diagnostics = record.get("diagnostics")
-    if "samples_file" in record:
-        draws = np.loadtxt(method_dir / record["samples_file"], delimiter=",", skiprows=1,
-                           dtype=np.int64, ndmin=2)
-        return CountJoint.from_draws(
-            draws, SamplerDiagnostics.from_dict(diagnostics) if diagnostics is not None else None)
-    if "joint_file" not in record:
-        return None
-    with np.load(method_dir / record["joint_file"]) as arrays:
-        if record["method"] != "probCount_exact":
-            return mint.GaussianReconciled(**arrays)
-        return CountJoint(arrays["bottom_support"].astype(np.int64), arrays["probabilities"],
-                          TrimDiagnostics(**diagnostics) if diagnostics is not None else None)
+
+def _reconcile_exact(h, entries, sampler, alpha, seed):
+    joint = conditioning._reconcile_exact_trimmed(h, _count_forecast_set(h, entries))
+    return _count_summaries(joint, h, alpha)
+
+
+def _reconcile_mcmc(h, entries, sampler, alpha, seed):
+    joint = conditioning.reconcile_mcmc(
+        h, _count_forecast_set(h, entries), n_chains=sampler.chains, n_samples=sampler.draws,
+        burn_in=sampler.burn_in, seed=seed, thin=sampler.thin)
+    return _count_summaries(joint, h, alpha)
+
+
+def _reconcile_truncated(h, entries, sampler, alpha, seed):
+    joint = mint.reconcile_truncated(h, _gaussian_forecasts(h, entries), mint.HierarchyVariance(),
+                                     n_samples=sampler.chains * sampler.draws, seed=seed)
+    return _count_summaries(joint, h, alpha)
+
+
+def _reconcile_mint(h, entries, sampler, alpha, seed, spec):
+    rec = mint.reconcile_gaussian(h, _gaussian_forecasts(h, entries), spec())
+    return {label: _gaussian_node_summary(rec.mean[i], max(rec.covariance[i, i], 1e-12), alpha)
+            for i, label in enumerate(h.node_labels)}, rec
+
+
+def _base_forecasts(h, entries, sampler, alpha, seed):
+    """Each node's own forecast; the artifact holds the tail mass its tabulation cut off."""
+    summaries, dropped = {}, {}
+    for label in h.node_labels:
+        if label not in entries:
+            raise MissingForecast(f"base method needs a forecast for node {label!r}")
+        if isinstance(entries[label], dict) and entries[label].get("dist") == "gaussian":
+            g = _parse_entry(gaussian_from_dict, entries, label)
+            summaries[label] = _gaussian_node_summary(g.mean, g.variance, alpha)
+            continue
+        pmf = _parse_entry(count_pmf_from_dict, entries, label)
+        table, dropped[label] = pmf, 0.0
+        if not isinstance(pmf, Tabulated):
+            weights = pmf.pmf(np.arange(pmf.quantile_truncate() + 1))
+            table = Tabulated.from_weights(weights)
+            dropped[label] = max(1.0 - float(weights.sum()), 0.0)
+        summaries[label] = {**MarginalSummary.of(label, table, alpha).to_dict(),
+                            "mean": float(pmf.mean()), "variance": float(pmf.variance())}
+    return summaries, {"dropped_mass": dropped}
+
+
+class Method(NamedTuple):
+    """How a method reconciles one series and stores the artifact."""
+
+    reconcile: Callable  # (h, entries, sampler, alpha, seed) -> (node summaries, artifact)
+    store: Callable  # (out_dir, h, sid, artifact) -> the record keys that locate it
+
+
+#: every method by name; one that stores draws samples them, so it needs a seed
+METHODS = {
+    "probCount_exact": Method(_reconcile_exact, partial(_store_npz, level=1)),
+    "probCount_mcmc": Method(_reconcile_mcmc, _store_draws),
+    "normal": Method(partial(_reconcile_mint, spec=mint.HierarchyVariance),
+                     partial(_store_npz, level=None)),
+    "structural_scaling": Method(partial(_reconcile_mint, spec=mint.StructuralScaling),
+                                 partial(_store_npz, level=None)),
+    "truncated": Method(_reconcile_truncated, _store_draws),
+    "base": Method(_base_forecasts, _store_nothing),
+}
 
 
 def reconcile_series(h: Hierarchy, method: str, entries: dict[str, dict],
                      sampler: SamplerSettings, alpha: float, seed: int):
-    """Reconcile one series; returns (node summaries, joint artifact).
-
-    `base` has no joint: its artifact is the record's diagnostics, the tail
-    mass of each count forecast cut off by tabulating it.
-    """
-    if method in ("normal", "structural_scaling"):
-        base = _gaussian_forecasts(h, entries)
-        spec = mint.StructuralScaling() if method == "structural_scaling" else mint.HierarchyVariance()
-        rec = mint.reconcile_gaussian(h, base, spec)
-        summaries = {
-            label: _gaussian_node_summary(rec.mean[i], max(rec.covariance[i, i], 1e-12), alpha)
-            for i, label in enumerate(h.node_labels)
-        }
-        return summaries, rec
-
-    if method == "base":
-        summaries, dropped = {}, {}
-        for label in h.node_labels:
-            if label not in entries:
-                raise MissingForecast(f"base method needs a forecast for node {label!r}")
-            if isinstance(entries[label], dict) and entries[label].get("dist") == "gaussian":
-                g = _parse_entry(gaussian_from_dict, entries, label)
-                summaries[label] = _gaussian_node_summary(g.mean, g.variance, alpha)
-                continue
-            pmf = _parse_entry(count_pmf_from_dict, entries, label)
-            table, dropped[label] = pmf, 0.0
-            if not isinstance(pmf, Tabulated):
-                weights = pmf.pmf(np.arange(pmf.quantile_truncate() + 1))
-                table = Tabulated.from_weights(weights)
-                dropped[label] = max(1.0 - float(weights.sum()), 0.0)
-            summaries[label] = {**MarginalSummary.of(label, table, alpha).to_dict(),
-                                "mean": float(pmf.mean()), "variance": float(pmf.variance())}
-        return summaries, {"dropped_mass": dropped}
-
-    if method == "probCount_exact":
-        base = _count_forecast_set(h, entries)
-        joint = conditioning._reconcile_exact_trimmed(h, base)
-    elif method == "probCount_mcmc":
-        joint = conditioning.reconcile_mcmc(
-            h, _count_forecast_set(h, entries), n_chains=sampler.chains,
-            n_samples=sampler.draws, burn_in=sampler.burn_in, seed=seed, thin=sampler.thin,
-        )
-    elif method == "truncated":
-        joint = mint.reconcile_truncated(
-            h, _gaussian_forecasts(h, entries), mint.HierarchyVariance(),
-            n_samples=sampler.chains * sampler.draws, seed=seed,
-        )
-    else:
+    """Reconcile one series by `METHODS[method]`; returns (node summaries, artifact)."""
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    return {k: s.to_dict() for k, s in summarize(joint, h, alpha).items()}, joint
+    return METHODS[method].reconcile(h, entries, sampler, alpha, seed)
 
 
 def run_reconcile(cfg: ExperimentConfig, quiet: bool = False) -> Path:
@@ -551,7 +545,8 @@ def run_reconcile(cfg: ExperimentConfig, quiet: bool = False) -> Path:
             raise ValueError(f"series {sid!r}: {exc}") from exc
         all_summaries[sid] = {"method": cfg.method, "alpha": cfg.scoring.alpha,
                               "nodes": summaries,
-                              **_write_artifact(out_dir, h, cfg.method, sid, artifact)}
+                              **_write_artifact(out_dir, h, sid, artifact,
+                                                METHODS[cfg.method].store)}
         if not quiet:
             print(f"[{cfg.method}] series {sid}")
             print(format_summary_table(h, summaries))
@@ -747,7 +742,7 @@ def _write_demo_record(out_dir: Path, h: Hierarchy, joint: CountJoint,
     """Store an exact joint as series "series" of a probCount_exact output dir."""
     record = {"method": "probCount_exact", "alpha": 0.1,
               "nodes": {k: s.to_dict() for k, s in summaries.items()},
-              **_write_artifact(out_dir, h, "probCount_exact", "series", joint)}
+              **_write_artifact(out_dir, h, "series", joint, METHODS["probCount_exact"].store)}
     (out_dir / "summaries.json").write_text(
         json.dumps({"series": record}, indent=1, sort_keys=True))
 

@@ -1,13 +1,14 @@
-"""Shared fixtures for the pipeline tests: synthetic data and configs."""
+"""Shared fixtures for the pipeline tests: synthetic data, configs and a stored-joint reader."""
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from reconc import harness
-from reconc.conditioning import BaseForecastSet
+from reconc import harness, mint
+from reconc.conditioning import BaseForecastSet, CountJoint, SamplerDiagnostics, TrimDiagnostics
 from reconc.distributions import Poisson
 from reconc.hierarchy import build_temporal_hierarchy
 
@@ -76,3 +77,34 @@ def run_benchmark(tmp_path: Path, methods=("probCount_mcmc", "normal", "base")):
         tmp_path / "cfg_score.json", methods=method_dirs, output_dir="out_scores",
     )
     return harness.run_score(harness.load_config(score_cfg), quiet=True)
+
+
+def sampler_diagnostics_from_dict(d: dict) -> SamplerDiagnostics:
+    """Inverse of SamplerDiagnostics.to_dict; the chain count is that of the acceptance rates.
+
+    A record written before the cap share was kept reads back with NaN.
+    """
+    rates = np.asarray(d["acceptance_rates"], dtype=float)
+    return SamplerDiagnostics(rates, np.asarray(d["rhat"], dtype=float), n_chains=len(rates),
+                              n_kept=d["n_kept"], burn_in=d["burn_in"], thin=d["thin"],
+                              cap_share=d.get("cap_share", math.nan))
+
+
+def read_artifact(record: dict, method_dir: Path):
+    """The joint that `harness.run_reconcile` stored for one series record (None if none was).
+
+    An exact joint's atoms come back as int64, whatever their stored dtype.
+    """
+    diagnostics = record.get("diagnostics")
+    if "samples_file" in record:
+        draws = np.loadtxt(method_dir / record["samples_file"], delimiter=",", skiprows=1,
+                           dtype=np.int64, ndmin=2)
+        return CountJoint.from_draws(
+            draws, sampler_diagnostics_from_dict(diagnostics) if diagnostics is not None else None)
+    if "joint_file" not in record:
+        return None
+    with np.load(method_dir / record["joint_file"]) as arrays:
+        if record["method"] != "probCount_exact":
+            return mint.GaussianReconciled(**arrays)
+        return CountJoint(arrays["bottom_support"].astype(np.int64), arrays["probabilities"],
+                          TrimDiagnostics(**diagnostics) if diagnostics is not None else None)

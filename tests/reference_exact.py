@@ -2,13 +2,15 @@
 
 `per_atom_chain` computes the probabilities of `reconcile_exact` atom by
 atom, multiplying the factors in the order the grid does, so it must equal
-the grid to the bit. `full_sort_trim` is the trim rule as `_trim` applied it
-before grouping atoms by binary exponent: it sorts every atom.
+the grid to the bit. `trim_joint` trims a full exact joint atom by atom, the
+reference for the pipeline's `_reconcile_exact_trimmed`. `full_sort_trim` is
+the trim rule as `_trim` applied it before grouping atoms by binary
+exponent: it sorts every atom.
 """
 
 import numpy as np
 
-from reconc.conditioning import ATOM_TOL
+from reconc.conditioning import ATOM_TOL, CountJoint, _trim
 from reconc.distributions import DEFAULT_EPSILON
 
 
@@ -36,6 +38,27 @@ def per_atom_chain(h, base, epsilon=DEFAULT_EPSILON):
             total = p.sum()
             scale = 1 / total
     return support, p / (p.sum() if total is None else total)
+
+
+def trim_joint(joint, bottom):
+    """Keep the atoms of a full exact grid that carry mass, by `_trim`'s rule.
+
+    The kept atoms stay in grid order and are renormalized. The edge mass is
+    the mass, before trimming, on atoms where some bottom j sits at the
+    grid's top cell while its pmf `bottom[j]` has mass beyond it, summed
+    over the cut bottoms j in order, on the atoms at j's top and below the
+    top of every earlier cut bottom.
+    """
+    support, p = joint.bottom_support, joint.probabilities
+    tops = support.max(axis=0)
+    edge_mass, below_top = 0.0, np.ones(len(p), dtype=bool)
+    for j, pmf in enumerate(bottom):
+        if pmf.pmf(tops[j] + 1) > 0:
+            at_top = support[:, j] == tops[j]
+            edge_mass += float(p[below_top & at_top].sum())
+            below_top &= ~at_top
+    kept_at, kept, diagnostics = _trim(p, edge_mass)
+    return CountJoint(support[kept_at], kept, diagnostics)
 
 
 def full_sort_trim(p):

@@ -163,6 +163,42 @@ def test_forecast_entry_without_its_parameter_exit_code(tmp_path, capsys, method
                    "key\n")
 
 
+ENTRY_WITH = {
+    "lambda": lambda bad: {"dist": "poisson", "lambda": bad},
+    "r": lambda bad: {"dist": "negbin", "r": bad, "p": 0.5},
+    "p": lambda bad: {"dist": "negbin", "r": 2.0, "p": bad},
+    "mean": lambda bad: {"dist": "gaussian", "mean": bad, "var": 1.0},
+    "var": lambda bad: {"dist": "gaussian", "mean": 1.0, "var": bad},
+}
+
+
+@pytest.mark.parametrize("key, method", [
+    (key, method) for key in ENTRY_WITH for method in ("probCount_exact", "normal")
+    if method == "normal" or key not in ("mean", "var")  # count methods take no Gaussian
+])
+@pytest.mark.parametrize("bad", ["x", True, None, [1.0]])
+def test_forecast_parameter_that_is_not_a_number_exit_code(tmp_path, capsys, key, method, bad):
+    forecasts = {"b1": ENTRY_WITH[key](bad), "b2": POISSON, "agg2_1": POISSON}
+    (tmp_path / "fc.json").write_text(json.dumps(forecasts))
+    cfg = write_config(tmp_path / "cfg.json", hierarchy=H2_CONFIG, method=method,
+                       forecasts="fc.json", output_dir="out")
+    assert main(["reconcile", "--config", str(cfg), "--quiet"]) == 2
+    assert capsys.readouterr().err == (f"error: series 'series': node 'b1': forecast entry key "
+                                       f"{key!r} must be a number, got {bad!r}\n")
+
+
+@pytest.mark.parametrize("method", ["probCount_mcmc", "truncated"])
+def test_negative_sampler_counts_exit_code(tmp_path, capsys, method):
+    (tmp_path / "fc.json").write_text(json.dumps({"b1": POISSON, "b2": POISSON,
+                                                  "agg2_1": POISSON}))
+    cfg = write_config(tmp_path / "cfg.json", hierarchy=H2_CONFIG, method=method,
+                       forecasts="fc.json", output_dir="out",
+                       sampler={"chains": -2, "draws": -5000, "seed": 1})
+    assert main(["reconcile", "--config", str(cfg), "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: sampler.chains must be >= 1, got -2\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("method", ["probCount_exact", "normal", "base"])
 def test_forecast_entry_that_is_not_an_object_exit_code(tmp_path, capsys, method):
     # a flat file whose b1 entry is a number, not a nested file with series b1

@@ -13,7 +13,6 @@ from reconc.conditioning import (
     BaseForecastSet,
     CountJoint,
     MarginalSummary,
-    _node_values,
     _trim,
     bottom_up_exact,
     condition_on_upper,
@@ -21,10 +20,10 @@ from reconc.conditioning import (
     reconcile_exact,
     reconcile_mcmc,
     summarize,
-    trim_joint,
 )
 from reconc.distributions import NegBinomial, Poisson, Tabulated
 from reconc.errors import (
+    DimensionError,
     IncompatibleEvidence,
     SupportTooLarge,
     TruncationWarning,
@@ -37,7 +36,7 @@ from reconc.hierarchy import (
     default_labels,
     is_coherent,
 )
-from reference_exact import full_sort_trim, per_atom_chain
+from reference_exact import full_sort_trim, per_atom_chain, trim_joint
 from test_agreement import SEEDS, random_case
 from test_mcmc import MONTHLY_H, ORACLE_CASES, monthly_mixed
 
@@ -313,6 +312,14 @@ def test_correlation_undefined_for_point_mass():
     joint = bottom_up_exact(MINIMAL, base)
     with pytest.raises(UndefinedCorrelation):
         correlation(joint, MINIMAL, 1, 2)
+
+
+@pytest.mark.parametrize("nodes", [(3, 1), (1, 3), (-1, 2)])
+def test_correlation_refuses_a_node_index_out_of_range(nodes):
+    joint = reconcile_exact(MINIMAL, poisson_249())
+    bad = next(i for i in nodes if not 0 <= i < MINIMAL.n)
+    with pytest.raises(DimensionError, match=rf"^node index {bad} out of range for n=3$"):
+        correlation(joint, MINIMAL, *nodes)
 
 
 def test_interval_coverage_property():
@@ -615,12 +622,13 @@ def test_pipeline_warns_where_the_grid_cuts_posterior_mass():
 
 
 def summarize_per_node(joint, h, alpha=0.1):
-    """summarize with each node's values from _node_values, the per-node reference."""
+    """summarize with each node's values as `bottom_support @ S[node]`: the per-node reference."""
     out = {}
     for idx, label in enumerate(h.node_labels):
-        values, weights = _node_values(joint, h, idx)
+        values = joint.bottom_support @ h.s_matrix[idx]
         out[label] = MarginalSummary.of(
-            label, Tabulated.from_weights(np.bincount(values, weights=weights)), alpha)
+            label, Tabulated.from_weights(np.bincount(values, weights=joint.probabilities)),
+            alpha)
     return out
 
 

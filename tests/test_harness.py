@@ -10,7 +10,14 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import MONTHLY, run_benchmark, write_config, write_synthetic_observations
+from helpers import (
+    MONTHLY,
+    read_artifact,
+    run_benchmark,
+    sampler_diagnostics_from_dict,
+    write_config,
+    write_synthetic_observations,
+)
 from reconc import conditioning, harness
 from reconc.distributions import Poisson
 from reconc.errors import (
@@ -174,6 +181,23 @@ def test_load_config_refuses_non_integer_counts(tmp_path, section, key):
         p.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
             harness.load_config(p)
+
+
+@pytest.mark.parametrize("key, minimum", [
+    ("chains", 1), ("draws", 1), ("thin", 1), ("burn_in", 0),
+])
+def test_load_config_refuses_sampler_counts_below_their_minimum(tmp_path, key, minimum):
+    p = tmp_path / "cfg.json"
+    for method in ("probCount_mcmc", "truncated"):
+        for value in (minimum - 1, -5000):
+            p.write_text(json.dumps({"hierarchy": MONTHLY, "method": method,
+                                     "sampler": {"seed": 1, key: value}}))
+            with pytest.raises(ValueError, match=rf"^sampler.{key} must be >= {minimum}, "
+                                                 rf"got {value}$"):
+                harness.load_config(p)
+        p.write_text(json.dumps({"hierarchy": MONTHLY, "method": method,
+                                 "sampler": {"seed": 1, key: minimum}}))
+        assert getattr(harness.load_config(p).sampler, key) == minimum
 
 
 def test_env_seed_override(tmp_path, monkeypatch):
@@ -366,7 +390,7 @@ def test_written_artifacts_read_back_to_the_same_joint(tmp_path):
         record = json.loads((out / "summaries.json").read_text())["series"]
         _, joint = harness.reconcile_series(cfg.hierarchy, method, forecasts, cfg.sampler,
                                             cfg.scoring.alpha, cfg.sampler.seed)
-        back = harness._read_artifact(record, out)
+        back = read_artifact(record, out)
         if method == "base":  # no joint: the artifact is the record's diagnostics
             assert back is None
             assert record["diagnostics"] == joint
@@ -403,13 +427,14 @@ def test_samples_csv_reads_back_to_the_same_draws(tmp_path, name):
     h = build_temporal_hierarchy(values.shape[1], [values.shape[1]])
     joint = conditioning.CountJoint.from_draws(values)
     record = {"method": "probCount_mcmc",
-              **harness._write_artifact(tmp_path, h, "probCount_mcmc", "s1", joint)}
+              **harness._write_artifact(tmp_path, h, "s1", joint,
+                                        harness.METHODS["probCount_mcmc"].store)}
     expected = io.StringIO()
     writer = csv.writer(expected)
     writer.writerow(h.bottom_labels)
     writer.writerows(values.tolist())
     assert (tmp_path / record["samples_file"]).read_bytes() == expected.getvalue().encode()
-    assert_same_fields(harness._read_artifact(record, tmp_path), joint)
+    assert_same_fields(read_artifact(record, tmp_path), joint)
 
 
 def test_sampler_record_without_cap_share_reads_back_as_nan():
@@ -417,9 +442,9 @@ def test_sampler_record_without_cap_share_reads_back_as_nan():
                                            n_chains=2, n_kept=20, burn_in=5, thin=2,
                                            cap_share=0.0)
     record = diag.to_dict()
-    assert_same_fields(conditioning.SamplerDiagnostics.from_dict(record), diag)
+    assert_same_fields(sampler_diagnostics_from_dict(record), diag)
     del record["cap_share"]  # as written before the cap share was recorded
-    assert np.isnan(conditioning.SamplerDiagnostics.from_dict(record).cap_share)
+    assert np.isnan(sampler_diagnostics_from_dict(record).cap_share)
 
 
 def check_exact_record(tmp_path, rates, stored):
@@ -450,7 +475,7 @@ def check_exact_record(tmp_path, rates, stored):
     assert (np.diff(kept) > 0).all()  # grid order
     dropped = np.delete(full.probabilities, kept)
     assert dropped.sum() == pytest.approx(record["diagnostics"]["dropped_mass"], rel=1e-9)
-    back = harness._read_artifact(record, out)
+    back = read_artifact(record, out)
     assert back.bottom_support.dtype == np.int64
     assert np.array_equal(back.bottom_support, support)
     assert back.diagnostics.to_dict() == record["diagnostics"]
@@ -640,7 +665,7 @@ def _assert_scored_from_stored_joint(tmp_path, name):
     es = [r["value"] for r in report.rows if r["metric"] == "energy_score"]
 
     record = json.loads((tmp_path / "d" / "summaries.json").read_text())["series"]
-    joint = harness._read_artifact(record, tmp_path / "d")
+    joint = read_artifact(record, tmp_path / "d")
     x = joint.bottom_support @ cfg.hierarchy.s_matrix.T
     p = joint.probabilities
     y = aggregate(cfg.hierarchy, np.array([3, 6]))
