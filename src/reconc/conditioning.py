@@ -126,23 +126,53 @@ class CountJoint:
         return self.bottom_support[idx]
 
 
+@dataclass
+class _ExactGrid:
+    """Cell (c, b) of a grid, c a cell of the first m - 1 bottoms (C order) and b the
+    last bottom, has probability `prefix[c] * last[state[c], b]`; `mass[c]` sums (c, .)."""
+
+    shape: tuple[int, ...]
+    prefix: np.ndarray
+    state: np.ndarray
+    last: np.ndarray
+    mass: np.ndarray
+
+    def cells(self, rows=slice(None)) -> np.ndarray:
+        """The cells under the prefix cells `rows`, shape (rows, size of the last bottom)."""
+        out = self.last[self.state[rows]]
+        out *= self.prefix[rows, None]
+        return out
+
+
+def _linear_index(sizes, steps) -> np.ndarray:
+    """`sum_j steps[j] * c[j]` for each cell c of the C-order grid of `sizes`, flat."""
+    out = np.zeros((), dtype=np.int64)
+    for size, step in zip(sizes, steps):
+        out = np.add.outer(out, np.arange(size, dtype=np.int64) * step)
+    return out.reshape(-1)
+
+
 def _exact_grid(h: Hierarchy, base: BaseForecastSet, epsilon: float, cell_cap: int,
-                upper: list[CountPmf | None]) -> np.ndarray:
+                upper: list[CountPmf | None]) -> _ExactGrid:
     """Bottom-up probabilities conditioned on `upper`, one axis per bottom (C order).
 
-    The grid grows by one bottom axis at a time (`np.multiply.outer`). Right
-    after axis k is added, each present evidence whose A row ends at k
-    multiplies in, in A-row order (bucket elimination): its table
-    `T[b] = pmf(A[i] @ b)` is a strided (Hankel) view of the evidence pmf,
-    one element along each axis of the row and 0 along the others. The grid
-    is normalized once, at the end; the inverse total after an evidence
-    scales the next evidence's pmf instead. So cells agree with the per-atom
-    chain bottom_up_exact + condition_on_upper within a few ulps, with the
-    same zeros, and with no evidence equal bottom_up_exact to the bit.
-    SupportTooLarge is raised before any grid is allocated.
-    IncompatibleEvidence names the first evidence, in application order,
-    after which the grid holds no mass: later marginals have positive sums,
-    so a partial grid holds none exactly when the full one would.
+    The prefix grid G over the first m - 1 bottoms grows by one axis at a
+    time. Right after axis k is added, each present evidence whose A row
+    ends at k multiplies in, in A-row order (bucket elimination), as a
+    strided (Hankel) view of its pmf. The evidences whose rows end at the
+    last bottom form one table over their rows' partial sums s on the
+    prefix, `F[s, b] = f_m(b) * prod_i g_i(s_i + b)`: a row per s in the
+    box of reachable sums, or per prefix cell where that box is larger.
+    Cell (c, b) is `G(c) * (F[s(c), b] / Z)`, `Z = sum_c G(c) * sum_b F[s(c), b]`.
+    A power of two near the inverse total after an evidence scales the next
+    evidence's pmf; it is exact, so it cancels in that quotient. Cells agree
+    with the per-atom chain bottom_up_exact + condition_on_upper within a
+    few ulps, with the same zeros, and with no evidence equal
+    bottom_up_exact to the bit. SupportTooLarge is raised before any grid
+    is allocated. IncompatibleEvidence names the first evidence, in
+    application order, after which the grid holds no mass: later marginals
+    have positive sums, so a partial grid holds none exactly when the full
+    one would.
     """
     base.validate(h)
     sizes = [pmf.quantile_truncate(epsilon) + 1 for pmf in base.bottom]
@@ -153,36 +183,61 @@ def _exact_grid(h: Hierarchy, base: BaseForecastSet, epsilon: float, cell_cap: i
             "use reconcile_mcmc instead"
         )
     marginals = [pmf.pmf(np.arange(s)) for pmf, s in zip(base.bottom, sizes)]
-    tops = np.array(sizes) - 1
-    last_axis = h.m - 1 - np.argmax(h.a_matrix[:, ::-1], axis=1)
-    grid, scale, total = marginals[0], 1.0, None
-    for k in range(h.m):
-        if k:
-            grid, total = np.multiply.outer(grid, marginals[k]), None
+    a, tops, last = h.a_matrix, np.array(sizes) - 1, h.m - 1
+    last_axis = last - np.argmax(a[:, ::-1], axis=1)
+
+    def hankel(pmf, in_row, shape):  # T[x] = pmf(sum of x over the axes in the row)
+        return np.lib.stride_tricks.as_strided(
+            pmf, shape=tuple(np.where(in_row, shape, 1)),
+            strides=tuple(np.where(in_row, pmf.itemsize, 0)), writeable=False)
+
+    def rescale(total, i):  # a power of two near 1 / total: exact, so it cancels at the end
+        if total <= 0:
+            raise IncompatibleEvidence(
+                f"evidence for upper node {i} has no mass on reachable sums")
+        return np.ldexp(1.0, -np.frexp(total)[1])
+
+    grid, scale = np.ones(()), 1.0
+    for k in range(last):
+        grid = np.multiply.outer(grid, marginals[k])
         for i in np.flatnonzero(last_axis == k):
-            if upper[i] is None:
-                continue
-            in_row = h.a_matrix[i, : k + 1] == 1
-            pmf = upper[i].pmf(np.arange(h.a_matrix[i] @ tops + 1)) * scale
-            grid *= np.lib.stride_tricks.as_strided(
-                pmf, shape=tuple(np.where(in_row, sizes[: k + 1], 1)),
-                strides=tuple(np.where(in_row, pmf.itemsize, 0)), writeable=False)
-            total = grid.sum()
-            if total <= 0:
-                raise IncompatibleEvidence(
-                    f"evidence for upper node {i} has no mass on reachable sums"
-                )
-            scale = 1 / total
-    grid /= grid.sum() if total is None else total
-    return grid
+            if upper[i] is not None:
+                pmf = upper[i].pmf(np.arange(a[i] @ tops + 1)) * scale
+                grid *= hankel(pmf, a[i, : k + 1] == 1, sizes[: k + 1])
+                scale = rescale(grid.sum(), i)
+    prefix = grid.reshape(-1)
+
+    closing = [i for i in np.flatnonzero(last_axis == last) if upper[i] is not None]
+    reach = (a[closing, :last] @ tops[:last] + 1).tolist()  # partial sums 0..reach-1 per row
+    box = math.prod(reach) <= prefix.size
+    if box:  # one table row per vector of partial sums in the box of reachable ones
+        strides = np.array([math.prod(reach[r + 1:]) for r in range(len(closing))], np.int64)
+        state, states = _linear_index(sizes[:last], strides @ a[closing, :last]), reach
+    else:  # one table row per prefix cell
+        state, states = np.arange(prefix.size), [prefix.size]
+    reached = np.bincount(state, weights=prefix, minlength=math.prod(states))  # G on each row
+    table = np.tile(marginals[last], (*states, 1))
+    for r, i in enumerate(closing):
+        pmf = upper[i].pmf(np.arange(a[i] @ tops + 1)) * scale
+        if box:
+            table *= hankel(pmf, np.append(np.arange(len(closing)) == r, True), table.shape)
+        else:
+            sums = _linear_index(sizes[:last], a[i, :last])
+            table *= np.lib.stride_tricks.sliding_window_view(pmf, sizes[last])[sums]
+        scale = rescale((reached @ table.reshape(-1, sizes[last])).sum(), i)
+    table = table.reshape(-1, sizes[last])
+    mass = table.sum(axis=1)[state]
+    mass *= prefix
+    total = mass.sum()
+    return _ExactGrid(tuple(sizes), prefix, state, table / total, mass / total)
 
 
-def _grid_joint(grid: np.ndarray) -> CountJoint:
-    """The joint with one atom per cell of a probability grid, in C order."""
+def _grid_joint(grid: _ExactGrid) -> CountJoint:
+    """The joint with one atom per cell of an exact grid, in C order."""
     # column-major view of the C-order index grid; a full grid stored as an .npz
     # (the demos, deflated at level 1) then deflates column by column, which is fast
-    support = np.indices(grid.shape, dtype=np.int64).reshape(grid.ndim, -1).T
-    return CountJoint(support, grid.reshape(-1))
+    support = np.indices(grid.shape, dtype=np.int64).reshape(len(grid.shape), -1).T
+    return CountJoint(support, grid.cells().reshape(-1))
 
 
 def bottom_up_exact(
@@ -253,19 +308,21 @@ def reconcile_exact(
     return _grid_joint(_exact_grid(h, base, epsilon, cell_cap, base.upper))
 
 
-def _trim(p: np.ndarray, edge_mass: float) -> tuple[np.ndarray, np.ndarray, TrimDiagnostics]:
+def _trim(p: np.ndarray, edge_mass: float,
+          offset: float = 0.0) -> tuple[np.ndarray, np.ndarray, TrimDiagnostics]:
     """Keep the atoms that carry mass, given atom probabilities and their edge mass.
 
     The kept atoms are those at least tau, the lightest atom whose ascending
     running total passes ATOM_TOL: zero-mass atoms always go, and every
-    dropped atom is lighter than every kept one. Returns the ascending flat
-    indices of the kept atoms, their renormalized probabilities and the
-    diagnostics, and warns (TruncationWarning) on an edge mass above
-    EDGE_MASS_WARN. Grouped by float64 binary exponent, atoms are in value
-    order group by group (zeros and subnormals share group 0), so only the
-    group where the running total of group masses passes ATOM_TOL is sorted.
-    The dropped mass, the lower groups' mass plus the sorted in-group atoms
-    below tau, is a full sort's running sum added in another order.
+    dropped atom is lighter than every kept one. The running total starts
+    at `offset`, the mass of atoms left out of `p` as lighter than tau.
+    Returns the ascending flat indices of the kept atoms, their renormalized
+    probabilities and the diagnostics, and warns (TruncationWarning) on an
+    edge mass above EDGE_MASS_WARN. Grouped by float64 binary exponent,
+    atoms are in value order group by group (zeros and subnormals share
+    group 0, as does the offset), so only the group where the running total
+    of group masses passes ATOM_TOL is sorted. The dropped mass is a full
+    sort's running sum added in another order.
     """
     if edge_mass > EDGE_MASS_WARN:
         warnings.warn(
@@ -275,10 +332,12 @@ def _trim(p: np.ndarray, edge_mass: float) -> tuple[np.ndarray, np.ndarray, Trim
             stacklevel=3,
         )
     group = p.view(np.int64) >> 52  # the biased exponent: p >= 0, so the sign bit is 0
-    below = np.cumsum(np.bincount(group, weights=p))  # mass up to and including each group
+    group_mass = np.bincount(group, weights=p)
+    group_mass[0] += offset
+    below = np.cumsum(group_mass)  # mass up to and including each group
     g = int(np.searchsorted(below, ATOM_TOL, side="right"))
     inside = np.sort(p[group == g])
-    running = np.cumsum(np.concatenate(([below[g - 1] if g else 0.0], inside)))
+    running = np.cumsum(np.concatenate(([below[g - 1] if g else offset], inside)))
     at = int(np.searchsorted(running[1:], ATOM_TOL, side="right"))
     # rounding may leave the whole group within ATOM_TOL: tau is then the next group's floor
     tau = inside[at] if at < len(inside) else np.ldexp(1.0, g - 1022)
@@ -291,20 +350,34 @@ def _trim(p: np.ndarray, edge_mass: float) -> tuple[np.ndarray, np.ndarray, Trim
 def _reconcile_exact_trimmed(h: Hierarchy, base: BaseForecastSet) -> CountJoint:
     """reconcile_exact(h, base) with only the atoms that `_trim` keeps, in grid order.
 
-    The edge mass is the mass on atoms where some bottom j sits at the
-    grid's top cell while its pmf goes on beyond it, summed over the cut
-    bottoms j in order on the atoms below every earlier cut bottom's top;
-    each such slab is summed in C order, as its atoms in grid order would
-    be. Support rows are built for the kept atoms only.
+    Only the prefix cells of mass at least ATOM_TOL / (2 * cells) are
+    expanded. Each atom under a lighter one is lighter than that bound, and
+    all such atoms hold less than ATOM_TOL / 2, so the trim drops them all;
+    their mass, summed per prefix cell, starts its running total. The edge
+    mass is the mass on atoms where some bottom j sits at the grid's top
+    cell while its pmf goes on beyond it, summed over the cut bottoms j in
+    order on the atoms below every earlier cut bottom's top: a slab of the
+    prefix masses, or for the last bottom of the cells at its top.
     """
     grid = _exact_grid(h, base, DEFAULT_EPSILON, DEFAULT_CELL_CAP, base.upper)
-    edge_mass, below_top = 0.0, [slice(None)] * grid.ndim
+    light = grid.mass < ATOM_TOL / (2 * math.prod(grid.shape))
+    masses = grid.mass.reshape(grid.shape[:-1])
+    edge_mass, below_top = 0.0, [slice(None)] * (h.m - 1)
     for j, pmf in enumerate(base.bottom):
-        if pmf.pmf(grid.shape[j]) > 0:
-            edge_mass += float(grid[(*below_top[:j], -1)].ravel().sum())
+        if pmf.pmf(grid.shape[j]) <= 0:
+            continue
+        if j < h.m - 1:
+            edge_mass += float(masses[(*below_top[:j], -1)].sum())
             below_top[j] = slice(-1)
-    kept_at, kept, diagnostics = _trim(grid.reshape(-1), edge_mass)
-    support = np.stack(np.unravel_index(kept_at, grid.shape), axis=1)
+        else:
+            at_top = grid.last[:, -1][grid.state]
+            at_top *= grid.prefix
+            edge_mass += float(at_top.reshape(masses.shape)[tuple(below_top)].sum())
+    rows = np.flatnonzero(~light)
+    kept_at, kept, diagnostics = _trim(grid.cells(rows).reshape(-1), edge_mass,
+                                       float(grid.mass[light].sum()))
+    flat = rows[kept_at // grid.shape[-1]] * grid.shape[-1] + kept_at % grid.shape[-1]
+    support = np.stack(np.unravel_index(flat, grid.shape), axis=1)
     return CountJoint(support, kept, diagnostics)
 
 

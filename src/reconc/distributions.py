@@ -276,6 +276,19 @@ def _number(d: dict, key: str) -> float:
     return float(value)
 
 
+def _numbers(d: dict, key: str) -> np.ndarray:
+    """`d[key]` as a float array, refusing by key all but an array of numbers by `_number`'s rule."""
+    values = d[key]
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"forecast entry key {key!r} must be an array of numbers, got {values!r}")
+    if not set(map(type, values)) <= {int, float}:  # one C-level pass for what JSON gives
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"forecast entry key {key!r} must hold only numbers, "
+                                 f"got {value!r}")
+    return np.asarray(values, dtype=float)
+
+
 def count_pmf_from_dict(d: dict) -> CountPmf:
     """Parse a forecast-file entry into a count pmf.
 
@@ -283,21 +296,21 @@ def count_pmf_from_dict(d: dict) -> CountPmf:
     {"samples": [...]} (fitted with fit_negbinomial).
     """
     if "samples" in d:
-        return fit_negbinomial(d["samples"])
+        return fit_negbinomial(_numbers(d, "samples"))
     kind = d.get("dist")
     if kind == "poisson":
         return Poisson(_number(d, "lambda"))
     if kind == "negbin":
         return NegBinomial(_number(d, "r"), _number(d, "p"))
     if kind == "tabulated":
-        return Tabulated(np.asarray(d["probs"], dtype=float))
+        return Tabulated(_numbers(d, "probs"))
     raise ValueError(f"not a count forecast entry: {d!r}")
 
 
 def gaussian_from_dict(d: dict) -> GaussianForecast:
     """Parse a forecast-file entry into a Gaussian (moment-converting counts)."""
     if "samples" in d:
-        return fit_gaussian(d["samples"])
+        return fit_gaussian(_numbers(d, "samples"))
     kind = d.get("dist")
     if kind == "gaussian":
         return GaussianForecast(_number(d, "mean"), _number(d, "var"))

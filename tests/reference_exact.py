@@ -17,27 +17,38 @@ from reconc.distributions import DEFAULT_EPSILON
 def per_atom_chain(h, base, epsilon=DEFAULT_EPSILON):
     """Returns (support, probabilities) over the grid's atoms in C order.
 
-    Step k appends bottom k to every atom and multiplies its marginal in,
-    then multiplies in, in A-row order, each present evidence whose row ends
-    at bottom k, its pmf scaled by the inverse total after the previous
-    evidence. The probabilities are divided by their total once, at the end.
+    Step k, for each bottom k but the last, appends bottom k to every atom
+    and multiplies its marginal in, then multiplies in, in A-row order, each
+    present evidence whose row ends at bottom k. Each of these prefix atoms
+    c then gets its own row over the last bottom b: `f_m(b)` times, in A-row
+    order, each present evidence whose row ends at b, at `A[i] @ (c, b)`.
+    With `Z = sum_c G(c) * sum_b row(c)[b]`, atom (c, b) is
+    `G(c) * (row(c)[b] / Z)`. The grid scales by powers of two between
+    evidences, which are exact and cancel in these quotients.
     """
     sizes = [pmf.quantile_truncate(epsilon) + 1 for pmf in base.bottom]
-    tops = np.array(sizes) - 1
+    tops, last = np.array(sizes) - 1, h.m - 1
+
+    def evidences_ending_at(k):
+        return [(i, evidence.pmf(np.arange(h.a_matrix[i] @ tops + 1)))
+                for i, evidence in enumerate(base.upper)
+                if evidence is not None and np.flatnonzero(h.a_matrix[i])[-1] == k]
+
     support, p = np.zeros((1, 0), dtype=np.int64), np.ones(1)
-    scale, total = 1.0, None
-    for k, (pmf, size) in enumerate(zip(base.bottom, sizes)):
+    for k, (pmf, size) in enumerate(zip(base.bottom[:last], sizes)):
         support = np.column_stack([np.repeat(support, size, axis=0),
                                    np.tile(np.arange(size), len(support))])
-        p, total = np.repeat(p, size) * pmf.pmf(np.arange(size))[support[:, k]], None
-        for i, evidence in enumerate(base.upper):
-            if evidence is None or np.flatnonzero(h.a_matrix[i])[-1] != k:
-                continue
-            table = evidence.pmf(np.arange(h.a_matrix[i] @ tops + 1)) * scale
+        p = np.repeat(p, size) * pmf.pmf(np.arange(size))[support[:, k]]
+        for i, table in evidences_ending_at(k):
             p = p * table[support @ h.a_matrix[i, : k + 1]]
-            total = p.sum()
-            scale = 1 / total
-    return support, p / (p.sum() if total is None else total)
+    b = np.arange(sizes[last])
+    rows = np.tile(base.bottom[last].pmf(b), (len(p), 1))
+    for i, table in evidences_ending_at(last):
+        rows = rows * table[(support @ h.a_matrix[i, :last])[:, None] + b]
+    total = (p * rows.sum(axis=1)).sum()
+    support = np.column_stack([np.repeat(support, sizes[last], axis=0),
+                               np.tile(b, len(support))])
+    return support, (p[:, None] * (rows / total)).reshape(-1)
 
 
 def trim_joint(joint, bottom):

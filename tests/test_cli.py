@@ -187,6 +187,30 @@ def test_forecast_parameter_that_is_not_a_number_exit_code(tmp_path, capsys, key
                                        f"{key!r} must be a number, got {bad!r}\n")
 
 
+ARRAY_ENTRIES = [  # (entry of b1, refusal after "forecast entry key ")
+    ({"samples": "12"}, "'samples' must be an array of numbers, got '12'"),
+    ({"samples": 12}, "'samples' must be an array of numbers, got 12"),
+    ({"samples": [True, 2, 3]}, "'samples' must hold only numbers, got True"),
+    ({"samples": [1, "2", 3]}, "'samples' must hold only numbers, got '2'"),
+    ({"dist": "tabulated", "probs": [True, False]}, "'probs' must hold only numbers, got True"),
+    ({"dist": "tabulated", "probs": [0.5, None, 0.5]}, "'probs' must hold only numbers, got None"),
+    ({"dist": "tabulated", "probs": "abc"}, "'probs' must be an array of numbers, got 'abc'"),
+]
+
+
+@pytest.mark.parametrize("method", ["probCount_exact", "normal"])
+@pytest.mark.parametrize("entry, refusal", ARRAY_ENTRIES)
+def test_forecast_array_that_is_not_all_numbers_exit_code(tmp_path, capsys, method, entry,
+                                                          refusal):
+    forecasts = {"s1": {"b1": entry, "b2": POISSON, "agg2_1": POISSON}}
+    (tmp_path / "fc.json").write_text(json.dumps(forecasts))
+    cfg = write_config(tmp_path / "cfg.json", hierarchy=H2_CONFIG, method=method,
+                       forecasts="fc.json", output_dir="out")
+    assert main(["reconcile", "--config", str(cfg), "--quiet"]) == 2
+    assert capsys.readouterr().err == (f"error: series 's1': node 'b1': forecast entry key "
+                                       f"{refusal}\n")
+
+
 @pytest.mark.parametrize("method", ["probCount_mcmc", "truncated"])
 def test_negative_sampler_counts_exit_code(tmp_path, capsys, method):
     (tmp_path / "fc.json").write_text(json.dumps({"b1": POISSON, "b2": POISSON,

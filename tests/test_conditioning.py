@@ -10,9 +10,11 @@ import pytest
 from helpers import GROUND_TRUTH, H421, MINIMAL, poisson_249
 from reconc import harness
 from reconc.conditioning import (
+    DEFAULT_CELL_CAP,
     BaseForecastSet,
     CountJoint,
     MarginalSummary,
+    _exact_grid,
     _trim,
     bottom_up_exact,
     condition_on_upper,
@@ -21,7 +23,7 @@ from reconc.conditioning import (
     reconcile_mcmc,
     summarize,
 )
-from reconc.distributions import NegBinomial, Poisson, Tabulated
+from reconc.distributions import DEFAULT_EPSILON, NegBinomial, Poisson, Tabulated
 from reconc.errors import (
     DimensionError,
     IncompatibleEvidence,
@@ -577,9 +579,10 @@ def _pipeline_exact(h, base, entries=None):
 @pytest.mark.parametrize("case", EXACT_CASES + ["m6"])
 def test_pipeline_trims_like_trim_joint_of_the_full_grid(case):
     h, base = exact_case(case)
+    full = reconcile_exact(h, base)
     with warnings.catch_warnings(record=True) as reference_warnings:
         warnings.simplefilter("always")
-        expected = trim_joint(reconcile_exact(h, base), base.bottom)
+        expected = trim_joint(full, base.bottom)
     with warnings.catch_warnings(record=True) as pipeline_warnings:
         warnings.simplefilter("always")
         got = _pipeline_exact(h, base)
@@ -589,7 +592,10 @@ def test_pipeline_trims_like_trim_joint_of_the_full_grid(case):
     assert got.bottom_support.flags.c_contiguous and expected.bottom_support.flags.c_contiguous
     assert np.array_equal(got.bottom_support, expected.bottom_support)
     assert np.array_equal(got.probabilities, expected.probabilities)
-    assert got.diagnostics.to_dict() == expected.diagnostics.to_dict()
+    # the pipeline sums the pruned and the edge mass per prefix cell: the same atoms in
+    # another order
+    assert got.diagnostics.to_dict() == pytest.approx(
+        expected.diagnostics.to_dict(), rel=len(full.probabilities) * np.finfo(float).eps, abs=0)
 
 
 def test_pipeline_refuses_an_oversized_grid_before_allocating_it():
@@ -611,6 +617,60 @@ def test_pipeline_refuses_evidence_without_mass_on_reachable_sums():
                "agg2_1": {"dist": "tabulated", "probs": [0.0] * 7 + [1.0]}}
     with pytest.raises(IncompatibleEvidence, match="upper node 0"):
         _pipeline_exact(MINIMAL, None, entries)
+
+
+def test_pipeline_names_the_first_evidence_applied_without_mass():
+    # the twin of the reconcile_exact test: row 0 closes at the last bottom, in its table
+    a = np.array([[1, 1], [1, 0]])
+    h = Hierarchy(a, ("agg_b1_b2", "agg_b1", "b1", "b2"))
+    half = Tabulated(np.array([0.5, 0.5]))
+    base = BaseForecastSet([half, half], [Tabulated(np.array([1.0])),
+                                          Tabulated(np.array([0.0, 1.0]))])
+    with pytest.raises(IncompatibleEvidence, match="upper node 0 "):
+        _pipeline_exact(h, base)
+
+
+def test_pipeline_peaks_below_one_float_array_over_the_full_grid():
+    h, base = m6_poisson_case()
+    tracemalloc.start()
+    try:
+        _pipeline_exact(h, base)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6 * np.dtype(float).itemsize  # the grid has 10^6 cells
+
+
+def wide_rows_case():
+    """Three rows end at the last bottom; their partial sums span more vectors than the prefix."""
+    a = np.array([[1, 1, 1], [0, 1, 1], [1, 0, 1]])
+    bottom = [Poisson(3.0), Poisson(2.0), NegBinomial(2.0, 0.6)]
+    rates = 1.2 * a @ [pmf.mean() for pmf in bottom]
+    return (Hierarchy(a, tuple(default_labels(a))),
+            BaseForecastSet(bottom, [Poisson(rate) for rate in rates]))
+
+
+def test_pipeline_tabulates_the_last_bottom_per_prefix_cell_where_the_box_is_larger():
+    h, base = wide_rows_case()
+    grid = _exact_grid(h, base, DEFAULT_EPSILON, DEFAULT_CELL_CAP, base.upper)
+    first, second, _ = grid.shape
+    assert (first + second - 1) * second * first > first * second  # the box of partial sums
+    assert len(grid.last) == first * second  # one table row per prefix cell
+    full = reconcile_exact(h, base)
+    support, probabilities = per_atom_chain(h, base)
+    assert np.array_equal(full.bottom_support, support)
+    assert np.array_equal(full.probabilities, probabilities)
+    chain = bottom_up_exact(h, base)
+    for i, evidence in enumerate(base.upper):
+        chain = condition_on_upper(chain, h, i, evidence)
+    np.testing.assert_allclose(full.probabilities, chain.probabilities,
+                               rtol=4 * (h.m + h.n_upper) * np.finfo(float).eps, atol=0)
+    expected, got = trim_joint(full, base.bottom), _pipeline_exact(h, base)
+    assert len(got.probabilities) < len(full.probabilities)
+    assert np.array_equal(got.bottom_support, expected.bottom_support)
+    assert np.array_equal(got.probabilities, expected.probabilities)
+    assert got.diagnostics.to_dict() == pytest.approx(
+        expected.diagnostics.to_dict(), rel=len(full.probabilities) * np.finfo(float).eps, abs=0)
 
 
 def test_pipeline_warns_where_the_grid_cuts_posterior_mass():
