@@ -318,11 +318,7 @@ def _trim(p: np.ndarray, edge_mass: float,
     at `offset`, the mass of atoms left out of `p` as lighter than tau.
     Returns the ascending flat indices of the kept atoms, their renormalized
     probabilities and the diagnostics, and warns (TruncationWarning) on an
-    edge mass above EDGE_MASS_WARN. Grouped by float64 binary exponent,
-    atoms are in value order group by group (zeros and subnormals share
-    group 0, as does the offset), so only the group where the running total
-    of group masses passes ATOM_TOL is sorted. The dropped mass is a full
-    sort's running sum added in another order.
+    edge mass above EDGE_MASS_WARN.
     """
     if edge_mass > EDGE_MASS_WARN:
         warnings.warn(
@@ -331,36 +327,32 @@ def _trim(p: np.ndarray, edge_mass: float,
             TruncationWarning,
             stacklevel=3,
         )
-    group = p.view(np.int64) >> 52  # the biased exponent: p >= 0, so the sign bit is 0
-    group_mass = np.bincount(group, weights=p)
-    group_mass[0] += offset
-    below = np.cumsum(group_mass)  # mass up to and including each group
-    g = int(np.searchsorted(below, ATOM_TOL, side="right"))
-    inside = np.sort(p[group == g])
-    running = np.cumsum(np.concatenate(([below[g - 1] if g else offset], inside)))
-    at = int(np.searchsorted(running[1:], ATOM_TOL, side="right"))
-    # rounding may leave the whole group within ATOM_TOL: tau is then the next group's floor
-    tau = inside[at] if at < len(inside) else np.ldexp(1.0, g - 1022)
+    ascending = np.sort(p)
+    running = np.cumsum(np.concatenate(([offset], ascending)))  # offset + the k lightest
+    tau = ascending[np.searchsorted(running[1:], ATOM_TOL, side="right")]
     kept_at = np.flatnonzero(p >= tau)
-    dropped_mass = float(running[np.searchsorted(inside, tau)])
     kept = p[kept_at]
+    dropped_mass = float(running[len(p) - len(kept_at)])
     return kept_at, kept / kept.sum(), TrimDiagnostics(dropped_mass, edge_mass)
 
 
 def _reconcile_exact_trimmed(h: Hierarchy, base: BaseForecastSet) -> CountJoint:
     """reconcile_exact(h, base) with only the atoms that `_trim` keeps, in grid order.
 
-    Only the prefix cells of mass at least ATOM_TOL / (2 * cells) are
-    expanded. Each atom under a lighter one is lighter than that bound, and
-    all such atoms hold less than ATOM_TOL / 2, so the trim drops them all;
-    their mass, summed per prefix cell, starts its running total. The edge
+    Only the prefix cells of mass at least the floor ATOM_TOL / (2 * cells)
+    are expanded, and only their cells at least the floor reach `_trim`.
+    Every atom under a lighter prefix cell is lighter than the floor too, and
+    the atoms under the floor, at most `cells` of them, hold less than
+    ATOM_TOL / 2, so the trim drops them all; their mass, summed directly per
+    light prefix cell and per light cell, starts its running total. The edge
     mass is the mass on atoms where some bottom j sits at the grid's top
     cell while its pmf goes on beyond it, summed over the cut bottoms j in
     order on the atoms below every earlier cut bottom's top: a slab of the
     prefix masses, or for the last bottom of the cells at its top.
     """
     grid = _exact_grid(h, base, DEFAULT_EPSILON, DEFAULT_CELL_CAP, base.upper)
-    light = grid.mass < ATOM_TOL / (2 * math.prod(grid.shape))
+    floor = ATOM_TOL / (2 * math.prod(grid.shape))
+    light = grid.mass < floor
     masses = grid.mass.reshape(grid.shape[:-1])
     edge_mass, below_top = 0.0, [slice(None)] * (h.m - 1)
     for j, pmf in enumerate(base.bottom):
@@ -374,8 +366,11 @@ def _reconcile_exact_trimmed(h: Hierarchy, base: BaseForecastSet) -> CountJoint:
             at_top *= grid.prefix
             edge_mass += float(at_top.reshape(masses.shape)[tuple(below_top)].sum())
     rows = np.flatnonzero(~light)
-    kept_at, kept, diagnostics = _trim(grid.cells(rows).reshape(-1), edge_mass,
-                                       float(grid.mass[light].sum()))
+    cells = grid.cells(rows).reshape(-1)
+    heavy = cells >= floor
+    kept_at, kept, diagnostics = _trim(cells[heavy], edge_mass, float(
+        grid.mass[light].sum() + cells[~heavy].sum()))
+    kept_at = np.flatnonzero(heavy)[kept_at]
     flat = rows[kept_at // grid.shape[-1]] * grid.shape[-1] + kept_at % grid.shape[-1]
     support = np.stack(np.unravel_index(flat, grid.shape), axis=1)
     return CountJoint(support, kept, diagnostics)
@@ -509,25 +504,26 @@ def _walker(arity: int):
     return namespace["walk"]
 
 
-def _run_chain(rng: np.random.Generator, moves: list[tuple], full_tables: list[list],
+def _run_chain(child: np.random.SeedSequence, moves: list[tuple], full_tables: list[list],
                caps: list[int], start: list[int], burn_in: int, thin: int,
-               out: np.ndarray) -> tuple[int, bool]:
-    """Run one Metropolis-Hastings chain; returns (accepted moves, reached).
+               n_samples: int) -> tuple[np.ndarray, int, bool]:
+    """Run one Metropolis-Hastings chain; returns (kept draws, accepted moves, reached).
 
-    The chain draws its coordinates, steps and log-uniforms from `rng` in
-    that order and turns each (coordinate, step) into its move index. Its
-    state is a plain list laid out as _mcmc_moves states, starting at
-    `start`. It walks `burn_in` moves, then `thin` moves per row of `out`,
-    and keeps the bottoms after each such block in one flat list, which
-    fills `out` once at the end. Until it reaches a state of positive
-    target mass, a chain accepts an in-range proposal iff the full target
-    (`full_tables`, one log-pmf list per bottom and upper) there is finite.
-    From then on one call of the `_walker` of its moves' arity walks the
-    rest of the chain; the pad terms add 0.0, so every accept decision is
-    that of summing the column's own entries.
+    The chain draws its coordinates, steps and log-uniforms from the
+    generator of `child` in that order and turns each (coordinate, step)
+    into its move index. Its state is a plain list laid out as _mcmc_moves
+    states, starting at `start`. It walks `burn_in` moves, then `thin` moves
+    per kept draw, and keeps the bottoms after each such block in one flat
+    list, read as the (n_samples, m) draws at the end. Until it reaches a
+    state of positive target mass, a chain accepts an in-range proposal iff
+    the full target (`full_tables`, one log-pmf list per bottom and upper)
+    there is finite. From then on one call of the `_walker` of its moves'
+    arity walks the rest of the chain; the pad terms add 0.0, so every
+    accept decision is that of summing the column's own entries.
     """
+    rng = np.random.default_rng(child)
     m = len(caps)
-    total_iters = burn_in + len(out) * thin
+    total_iters = burn_in + n_samples * thin
     coords = rng.integers(0, m, size=total_iters)
     move_index = (2 * coords + rng.integers(0, 2, size=total_iters)).tolist()
     log_u = np.log(rng.random(total_iters)).tolist()
@@ -540,7 +536,7 @@ def _run_chain(rng: np.random.Generator, moves: list[tuple], full_tables: list[l
     accepted = 0
     kept = []
     pairs = zip(move_index, log_u)
-    for row in range(-1, len(out)):
+    for row in range(-1, n_samples):
         left = thin if row >= 0 else burn_in
         if not reached:
             for k, lu in islice(pairs, left):
@@ -556,22 +552,11 @@ def _run_chain(rng: np.random.Generator, moves: list[tuple], full_tables: list[l
                         break  # the walk goes on with the rest of this block
         if reached:
             walk = _walker(len(moves[0]) // 3 - 1)
-            accepted += walk(x, moves, pairs, left, row, len(out), thin, m, kept)
+            accepted += walk(x, moves, pairs, left, row, n_samples, thin, m, kept)
             break
         if row >= 0:
             kept += x[:m]
-    out[:] = np.fromiter(kept, np.int64, out.size).reshape(out.shape)
-    return accepted, reached
-
-
-def _chain_job(child: np.random.SeedSequence, moves: list[tuple], full_tables: list[list],
-               caps: list[int], start: list[int], burn_in: int, thin: int,
-               n_samples: int) -> tuple[np.ndarray, int, bool]:
-    """Run one chain from its spawned seed; returns (kept draws, accepted, reached)."""
-    out = np.empty((n_samples, len(caps)), dtype=np.int64)
-    accepted, reached = _run_chain(np.random.default_rng(child), moves, full_tables, caps,
-                                   start, burn_in, thin, out)
-    return out, accepted, reached
+    return np.fromiter(kept, np.int64, n_samples * m).reshape(n_samples, m), accepted, reached
 
 
 def _usable_cpus() -> int:
@@ -723,7 +708,7 @@ def reconcile_mcmc(
     start = [min(pmf.median(), cap) for pmf, cap in zip(base.bottom, cap_list)]
     start += (h.a_matrix @ start).tolist() + [0, 0]  # the uppers, the zero and sink slots
 
-    job = partial(_chain_job, moves=moves, full_tables=full_tables, caps=cap_list,
+    job = partial(_run_chain, moves=moves, full_tables=full_tables, caps=cap_list,
                   start=start, burn_in=burn_in, thin=thin, n_samples=n_samples)
     children = np.random.SeedSequence(seed).spawn(n_chains)
     chains, accepted, reached = zip(*_map_chains(job, children))

@@ -165,7 +165,7 @@ class Tabulated(CountPmf):
         if not (p >= 0).all():
             raise ValueError("probabilities must be non-negative (and not NaN)")
         if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities must sum to 1 within 1e-12, got {p.sum()!r}")
+            raise ValueError(f"probabilities must sum to 1 within 1e-12, got {float(p.sum())!r}")
         object.__setattr__(self, "probs", p)
 
     @classmethod

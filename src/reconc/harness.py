@@ -38,6 +38,7 @@ from .errors import (
     MissingActuals,
     MissingForecast,
     ObservationGap,
+    ReconcError,
     SeriesTooShort,
     UndefinedScale,
     UndefinedSkill,
@@ -83,21 +84,34 @@ class ExperimentConfig:
 
 
 def _hierarchy_from_config(section: dict, base_dir: Path) -> Hierarchy:
-    has_temporal = "bottom_period_count" in section
+    unknown = set(section) - {"bottom_period_count", "factors", "a_matrix_file"}
+    if unknown:
+        raise ValueError(f"unknown hierarchy key(s) {sorted(unknown)}")
     has_file = "a_matrix_file" in section
-    if has_temporal == has_file:
+    if has_file == ("bottom_period_count" in section or "factors" in section):
         raise ValueError(
             "hierarchy needs exactly one source: bottom_period_count+factors "
             "or a_matrix_file"
         )
-    if has_temporal:
-        return build_temporal_hierarchy(section["bottom_period_count"], section["factors"])
-    return Hierarchy.from_json((base_dir / section["a_matrix_file"]).read_text())
+    if has_file:
+        path = _string("hierarchy.a_matrix_file", section["a_matrix_file"])
+        return Hierarchy.from_json((base_dir / path).read_text())
+    factors = section.get("factors")
+    if not isinstance(factors, list):
+        raise ValueError(f"hierarchy.factors must be an array of integers, got {factors!r}")
+    return build_temporal_hierarchy(
+        _integer("hierarchy.bottom_period_count", section.get("bottom_period_count"),
+                 required=True),
+        [_integer(f"hierarchy.factors[{k}]", factor, required=True)
+         for k, factor in enumerate(factors)])
 
 
-def _integer(key: str, value, minimum: int | None = None):
-    """`value` checked by name: None, or an int (not a bool) of at least `minimum`."""
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+def _integer(key: str, value, minimum: int | None = None, required: bool = False):
+    """`value` checked by name: an int (not a bool) of at least `minimum`.
+
+    None passes unless `required`.
+    """
+    if (value is not None or required) and (isinstance(value, bool) or not isinstance(value, int)):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     if value is not None and minimum is not None and value < minimum:
         raise ValueError(f"{key} must be >= {minimum}, got {value}")
@@ -112,6 +126,13 @@ def _env_seed() -> int | None:
     except ValueError:
         value = text  # refused by name
     return _integer("RECONC_SEED", value, minimum=0)
+
+
+def _string(key: str, value) -> str:
+    """`value` checked by name to be a JSON string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
 
 
 def _object(key: str, value) -> dict:
@@ -138,10 +159,14 @@ def load_config(path) -> ExperimentConfig:
     sampler seed and must be a non-negative integer too. A seed is mandatory
     whenever the method stores sampled draws (probCount_mcmc, truncated).
     `scoring.alpha` must be a JSON number in (0, 1). The config and its
-    `hierarchy`, `sampler` and `scoring` values must be JSON objects. The
-    `scoring` keys `es_batch` and `seed` of older configs are ignored with
-    one DeprecationWarning each; any other unknown key, at the top level or
-    in `sampler` or `scoring`, is refused by name.
+    `hierarchy`, `sampler`, `scoring` and `methods` values must be JSON
+    objects. `method`, `forecasts`, `observations`, `output_dir`,
+    `scoring.baseline`, the `methods` directories and
+    `hierarchy.a_matrix_file` must be strings, `hierarchy.bottom_period_count`
+    an integer and `hierarchy.factors` an array of integers. The `scoring`
+    keys `es_batch` and `seed` of older configs are ignored with one
+    DeprecationWarning each; any other unknown key, at the top level or in
+    `hierarchy`, `sampler` or `scoring`, is refused by name.
     """
     path = Path(path)
     raw = _object("config", json.loads(path.read_text()))
@@ -149,7 +174,7 @@ def load_config(path) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown config key(s) {sorted(unknown)}")
     base_dir = path.parent
-    h = _hierarchy_from_config(_object("hierarchy", raw["hierarchy"]), base_dir)
+    h = _hierarchy_from_config(_object("hierarchy", raw.get("hierarchy")), base_dir)
 
     sampler = _settings("sampler", SamplerSettings, _object("sampler", raw.get("sampler", {})))
     scoring_raw = dict(_object("scoring", raw.get("scoring", {})))
@@ -161,7 +186,8 @@ def load_config(path) -> ExperimentConfig:
     scoring_cfg = _settings("scoring", ScoringSettings, scoring_raw)
     test_length = _integer("test_length", raw.get("test_length"), minimum=1)
     for key, value in vars(sampler).items():
-        _integer(f"sampler.{key}", value, minimum=0 if key in ("burn_in", "seed") else 1)
+        optional = key in ("burn_in", "seed")
+        _integer(f"sampler.{key}", value, minimum=0 if optional else 1, required=not optional)
     alpha = scoring_cfg.alpha
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
         raise ValueError(f"scoring.alpha must be a number, got {alpha!r}")
@@ -170,25 +196,22 @@ def load_config(path) -> ExperimentConfig:
     env_seed = _env_seed()
     if env_seed is not None:
         sampler.seed = env_seed
+    _string("scoring.baseline", scoring_cfg.baseline)
+    methods = _object("methods", raw.get("methods", {}))
+    for name, out_dir in methods.items():
+        _string(f"methods.{name}", out_dir)
+    strings = {key: _string(key, raw[key])  # null reads as the key left out
+               for key in ("method", "forecasts", "observations", "output_dir")
+               if raw.get(key) is not None}
 
-    method = raw.get("method")
+    method = strings.get("method")
     if method is not None and method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
     if method is not None and METHODS[method].store is _store_draws and sampler.seed is None:
         raise ValueError(f"method {method!r} is stochastic: a sampler seed is mandatory")
 
-    return ExperimentConfig(
-        hierarchy=h,
-        method=method,
-        forecasts=raw.get("forecasts"),
-        observations=raw.get("observations"),
-        test_length=test_length,
-        output_dir=raw.get("output_dir", "out"),
-        sampler=sampler,
-        scoring=scoring_cfg,
-        methods=raw.get("methods", {}),
-        base_dir=base_dir,
-    )
+    return ExperimentConfig(hierarchy=h, test_length=test_length, sampler=sampler,
+                            scoring=scoring_cfg, methods=methods, base_dir=base_dir, **strings)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +338,7 @@ def read_forecasts(path) -> dict[str, dict[str, dict]]:
 
 
 def _parse_entry(parse, entries: dict[str, dict], label: str):
-    """`parse(entries[label])`, refusing a malformed entry by a ValueError naming the node."""
+    """`parse(entries[label])`, refusing a malformed entry by an error naming the node."""
     entry = entries[label]
     if not isinstance(entry, dict):
         raise ValueError(f"node {label!r}: forecast entry must be a JSON object, got {entry!r}")
@@ -325,6 +348,8 @@ def _parse_entry(parse, entries: dict[str, dict], label: str):
         raise ValueError(f"node {label!r}: forecast entry has no {exc.args[0]!r} key") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"node {label!r}: {exc}") from exc
+    except ReconcError as exc:
+        raise type(exc)(f"node {label!r}: {exc}") from exc
 
 
 def _count_forecast_set(h: Hierarchy, entries: dict[str, dict]) -> BaseForecastSet:
@@ -398,10 +423,10 @@ def _store_draws(out_dir: Path, h: Hierarchy, sid: str, joint: CountJoint) -> di
     return {"samples_file": fname}
 
 
-def _store_npz(out_dir: Path, h: Hierarchy, sid: str, joint, level: int | None) -> dict:
-    """The joint's arrays by field name, each `_narrowest`, in an .npz deflated at `level`."""
+def _store_npz(out_dir: Path, h: Hierarchy, sid: str, joint) -> dict:
+    """The joint's arrays by field name, each `_narrowest`, in an .npz deflated at level 1."""
     fname = f"joint_{sid}.npz"
-    with zipfile.ZipFile(out_dir / fname, "w", zipfile.ZIP_DEFLATED, compresslevel=level) as zf:
+    with zipfile.ZipFile(out_dir / fname, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as zf:
         for name, value in vars(joint).items():
             if isinstance(value, np.ndarray):
                 with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
@@ -480,12 +505,11 @@ class Method(NamedTuple):
 
 #: every method by name; one that stores draws samples them, so it needs a seed
 METHODS = {
-    "probCount_exact": Method(_reconcile_exact, partial(_store_npz, level=1)),
+    "probCount_exact": Method(_reconcile_exact, _store_npz),
     "probCount_mcmc": Method(_reconcile_mcmc, _store_draws),
-    "normal": Method(partial(_reconcile_mint, spec=mint.HierarchyVariance),
-                     partial(_store_npz, level=None)),
+    "normal": Method(partial(_reconcile_mint, spec=mint.HierarchyVariance), _store_npz),
     "structural_scaling": Method(partial(_reconcile_mint, spec=mint.StructuralScaling),
-                                 partial(_store_npz, level=None)),
+                                 _store_npz),
     "truncated": Method(_reconcile_truncated, _store_draws),
     "base": Method(_base_forecasts, _store_nothing),
 }
@@ -503,8 +527,9 @@ def run_reconcile(cfg: ExperimentConfig, quiet: bool = False) -> Path:
     """Run the configured method on every series; write outputs; return dir.
 
     A forecast label that is not a node of the hierarchy is refused, naming
-    its series, before any series is reconciled; a ValueError raised while
-    reconciling a series names that series.
+    its series, before any series is reconciled. A ValueError or ReconcError
+    raised while reconciling a series keeps its type and names that series,
+    and the node where it comes from parsing that node's forecast entry.
     """
     h = cfg.hierarchy
     if cfg.method is None:
@@ -541,8 +566,8 @@ def run_reconcile(cfg: ExperimentConfig, quiet: bool = False) -> Path:
             summaries, artifact = reconcile_series(
                 h, cfg.method, forecasts[sid], cfg.sampler, cfg.scoring.alpha, series_seed,
             )
-        except ValueError as exc:
-            raise ValueError(f"series {sid!r}: {exc}") from exc
+        except (ValueError, ReconcError) as exc:
+            raise type(exc)(f"series {sid!r}: {exc}") from exc
         all_summaries[sid] = {"method": cfg.method, "alpha": cfg.scoring.alpha,
                               "nodes": summaries,
                               **_write_artifact(out_dir, h, sid, artifact,

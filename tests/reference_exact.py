@@ -3,9 +3,8 @@
 `per_atom_chain` computes the probabilities of `reconcile_exact` atom by
 atom, multiplying the factors in the order the grid does, so it must equal
 the grid to the bit. `trim_joint` trims a full exact joint atom by atom, the
-reference for the pipeline's `_reconcile_exact_trimmed`. `full_sort_trim` is
-the trim rule as `_trim` applied it before grouping atoms by binary
-exponent: it sorts every atom.
+reference for the pipeline's `_reconcile_exact_trimmed`. `full_sort_trim`
+states the trim rule by one sort of every atom, the rule `_trim` keeps.
 """
 
 import numpy as np

@@ -234,6 +234,88 @@ def test_forecast_entry_that_is_not_an_object_exit_code(tmp_path, capsys, method
                                        "must be a JSON object, got 3\n")
 
 
+MALFORMED_CONFIGS = [  # (config keys over the 2-bottom probCount_exact config, refusal)
+    ({"hierarchy": {"bottom_period_count": 2.5, "factors": [2]}},
+     "hierarchy.bottom_period_count must be an integer, got 2.5"),
+    ({"hierarchy": {"bottom_period_count": "2", "factors": [2]}},
+     "hierarchy.bottom_period_count must be an integer, got '2'"),
+    ({"hierarchy": {"bottom_period_count": True, "factors": [2]}},
+     "hierarchy.bottom_period_count must be an integer, got True"),
+    ({"hierarchy": {"factors": [2]}},
+     "hierarchy.bottom_period_count must be an integer, got None"),
+    ({"hierarchy": {"bottom_period_count": 2, "factors": "2"}},
+     "hierarchy.factors must be an array of integers, got '2'"),
+    ({"hierarchy": {"bottom_period_count": 2, "factors": [2.7]}},
+     "hierarchy.factors[0] must be an integer, got 2.7"),
+    ({"hierarchy": {"bottom_period_count": 2, "factors": ["2"]}},
+     "hierarchy.factors[0] must be an integer, got '2'"),
+    ({"hierarchy": {"bottom_period_count": 2}},
+     "hierarchy.factors must be an array of integers, got None"),
+    ({"hierarchy": {"bottom_period_count": 2, "factors": None}},
+     "hierarchy.factors must be an array of integers, got None"),
+    ({"hierarchy": {"bottom_period_count": 2, "factors": [2], "x": 1}},
+     "unknown hierarchy key(s) ['x']"),
+    ({"hierarchy": {"factors": [2], "a_matrix_file": "h.json"}},
+     "hierarchy needs exactly one source: bottom_period_count+factors or a_matrix_file"),
+    ({"hierarchy": {"a_matrix_file": 5}}, "hierarchy.a_matrix_file must be a string, got 5"),
+    ({"scoring": {"baseline": 5}}, "scoring.baseline must be a string, got 5"),
+    ({"output_dir": 5}, "output_dir must be a string, got 5"),
+    ({"forecasts": 5}, "forecasts must be a string, got 5"),
+    ({"observations": 5}, "observations must be a string, got 5"),
+    ({"method": ["normal"]}, "method must be a string, got ['normal']"),
+    ({"methods": ["out"]}, "methods must be a JSON object, got ['out']"),
+    ({"methods": {"normal": 5}}, "methods.normal must be a string, got 5"),
+    ({"sampler": {"chains": None}}, "sampler.chains must be an integer, got None"),
+]
+
+
+@pytest.mark.parametrize("keys, refusal", MALFORMED_CONFIGS)
+def test_malformed_config_value_exit_code(tmp_path, capsys, keys, refusal):
+    (tmp_path / "fc.json").write_text(json.dumps({"b1": POISSON, "b2": POISSON,
+                                                  "agg2_1": POISSON}))
+    cfg = write_config(tmp_path / "cfg.json", **{"hierarchy": H2_CONFIG,
+                                                 "method": "probCount_exact",
+                                                 "forecasts": "fc.json", "output_dir": "out",
+                                                 **keys})
+    assert main(["reconcile", "--config", str(cfg), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+
+
+RECONCILE_ERRORS = [  # (method, entries in place of the method's own, exit code, refusal)
+    ("probCount_exact", {"b1": {"samples": []}}, 1,
+     "series 's1': node 'b1': need at least one sample"),
+    ("normal", {"b1": {"samples": [1.0]}}, 1,
+     "series 's1': node 'b1': need at least 2 samples, got 1"),
+    ("probCount_exact", {"b2": None}, 1,
+     "series 's1': count reconciliation needs bottom forecast 'b2'"),
+    ("probCount_exact", {"agg2_1": {"dist": "tabulated", "probs": [0.0] * 60 + [1.0]}}, 1,
+     "series 's1': evidence for upper node 0 has no mass on reachable sums"),
+    ("probCount_exact", {"b1": {"dist": "poisson", "lambda": 2e5},
+                         "b2": {"dist": "poisson", "lambda": 2e5}}, 1,
+     "series 's1': product support has 4.11e+10 cells (cap 10000000); "
+     "use reconcile_mcmc instead"),
+    # b1 + b2 = 30 only: one move from the start cannot get there
+    ("probCount_mcmc", {"agg2_1": {"dist": "tabulated", "probs": [0.0] * 30 + [1.0]}}, 1,
+     "series 's1': chains [0, 1] never reached positive target probability"),
+    ("probCount_exact", {"b1": {"dist": "tabulated", "probs": [0.5, 0.4]}}, 2,
+     "series 's1': node 'b1': probabilities must sum to 1 within 1e-12, got 0.9"),
+]
+
+
+@pytest.mark.parametrize("method, entries, code, refusal", RECONCILE_ERRORS)
+def test_errors_while_reconciling_name_the_series(tmp_path, capsys, method, entries, code,
+                                                  refusal):
+    entry = GAUSSIAN if method == "normal" else POISSON
+    forecasts = {label: entries.get(label, entry) for label in ("b1", "b2", "agg2_1")}
+    forecasts = {label: entry for label, entry in forecasts.items() if entry is not None}
+    (tmp_path / "fc.json").write_text(json.dumps({"s1": forecasts}))
+    cfg = write_config(tmp_path / "cfg.json", hierarchy=H2_CONFIG, method=method,
+                       forecasts="fc.json", output_dir="out",
+                       sampler={"chains": 2, "draws": 1, "thin": 1, "burn_in": 0, "seed": 1})
+    assert main(["reconcile", "--config", str(cfg), "--quiet"]) == code
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+
+
 OBS_ROWS = "".join(f"s1,{t},{t % 3}\n" for t in range(6))
 
 

@@ -519,7 +519,7 @@ def test_incompatible_evidence_names_the_first_evidence_applied_without_mass():
                            h, 1, base.upper[1])
 
 
-# purpose-built atom arrays for the exponent-grouped trim
+# purpose-built atom arrays for the trim
 TIED = 0.4e-12  # the running total passes ATOM_TOL at the third of five tied atoms
 TRIM_ARRAYS = {
     "ties_at_tau": np.array([0.5, TIED, 1e-14, TIED, 0.3, TIED, 1e-14, TIED, TIED, 0.2]),
