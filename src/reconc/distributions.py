@@ -13,6 +13,7 @@ import numpy as np
 from scipy import special
 
 from .errors import InsufficientSamples
+from .schema import NUMBER, STRING, Array, Forms, Object, Row, walk
 
 #: cumulative mass treated as "all of it" when truncating infinite supports
 DEFAULT_EPSILON = 1e-9
@@ -268,53 +269,60 @@ def fit_gaussian(samples) -> GaussianForecast:
     return GaussianForecast(float(x.mean()), max(float(x.var(ddof=1)), VARIANCE_FLOOR))
 
 
-def _number(d: dict, key: str) -> float:
-    """`d[key]` as a float, refusing by key anything but a JSON number (a bool, a string)."""
-    value = d[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"forecast entry key {key!r} must be a number, got {value!r}")
-    return float(value)
+def _entry_form(d: dict) -> str | None:
+    """The form of forecast entry `d`: "samples" where it holds samples, else a string dist."""
+    dist = d.get("dist")
+    return "samples" if "samples" in d else dist if isinstance(dist, str) else None
 
 
-def _numbers(d: dict, key: str) -> np.ndarray:
-    """`d[key]` as a float array, refusing by key all but an array of numbers by `_number`'s rule."""
-    values = d[key]
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"forecast entry key {key!r} must be an array of numbers, got {values!r}")
-    if not set(map(type, values)) <= {int, float}:  # one C-level pass for what JSON gives
-        for value in values:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"forecast entry key {key!r} must hold only numbers, "
-                                 f"got {value!r}")
-    return np.asarray(values, dtype=float)
+def _entry(*rows: Row) -> Object:
+    return Object(*rows, child="forecast entry key {!r}", missing="forecast entry has no {!r} key")
+
+
+_NUMBERS = Array(NUMBER, "an array of numbers", each="numbers")
+_DIST = Row("dist", STRING, required=True)
+
+#: a forecast-file entry: one row set per form; a form's domain (a rate
+#: >= 0, probabilities that sum to 1, ...) is checked by its distribution
+FORECAST_ENTRY = Forms(_entry_form, {
+    "poisson": _entry(_DIST, Row("lambda", NUMBER, required=True)),
+    "negbin": _entry(_DIST, Row("r", NUMBER, required=True), Row("p", NUMBER, required=True)),
+    "tabulated": _entry(_DIST, Row("probs", _NUMBERS, required=True)),
+    "gaussian": _entry(_DIST, Row("mean", NUMBER, required=True),
+                       Row("var", NUMBER, required=True)),
+    "samples": _entry(Row("samples", _NUMBERS, required=True)),
+})
+
+_COUNT_FORMS = {
+    "samples": lambda d: fit_negbinomial(np.asarray(d["samples"], dtype=float)),
+    "poisson": lambda d: Poisson(float(d["lambda"])),
+    "negbin": lambda d: NegBinomial(float(d["r"]), float(d["p"])),
+    "tabulated": lambda d: Tabulated(np.asarray(d["probs"], dtype=float)),
+}
 
 
 def count_pmf_from_dict(d: dict) -> CountPmf:
-    """Parse a forecast-file entry into a count pmf.
+    """Parse a forecast-file entry, walked against FORECAST_ENTRY, into a count pmf.
 
     Accepts {"dist": "poisson"|"negbin"|"tabulated", ...} or
     {"samples": [...]} (fitted with fit_negbinomial).
     """
-    if "samples" in d:
-        return fit_negbinomial(_numbers(d, "samples"))
-    kind = d.get("dist")
-    if kind == "poisson":
-        return Poisson(_number(d, "lambda"))
-    if kind == "negbin":
-        return NegBinomial(_number(d, "r"), _number(d, "p"))
-    if kind == "tabulated":
-        return Tabulated(_numbers(d, "probs"))
-    raise ValueError(f"not a count forecast entry: {d!r}")
+    walk(FORECAST_ENTRY, d, "forecast entry")
+    form = _COUNT_FORMS.get(_entry_form(d))
+    if form is None:
+        raise ValueError(f"not a count forecast entry: {d!r}")
+    return form(d)
 
 
 def gaussian_from_dict(d: dict) -> GaussianForecast:
     """Parse a forecast-file entry into a Gaussian (moment-converting counts)."""
-    if "samples" in d:
-        return fit_gaussian(_numbers(d, "samples"))
-    kind = d.get("dist")
-    if kind == "gaussian":
-        return GaussianForecast(_number(d, "mean"), _number(d, "var"))
-    if kind in ("poisson", "negbin", "tabulated"):
-        pmf = count_pmf_from_dict(d)
+    walk(FORECAST_ENTRY, d, "forecast entry")
+    form = _entry_form(d)
+    if form == "samples":
+        return fit_gaussian(np.asarray(d["samples"], dtype=float))
+    if form == "gaussian":
+        return GaussianForecast(float(d["mean"]), float(d["var"]))
+    if form in _COUNT_FORMS:
+        pmf = _COUNT_FORMS[form](d)
         return GaussianForecast(pmf.mean(), max(pmf.variance(), VARIANCE_FLOOR))
     raise ValueError(f"not a forecast entry: {d!r}")

@@ -15,7 +15,7 @@ import json
 import os
 import warnings
 import zipfile
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -44,6 +44,7 @@ from .errors import (
     UndefinedSkill,
 )
 from .hierarchy import Hierarchy, aggregate, build_temporal_hierarchy
+from .schema import COUNT, INT, NUMBER, STRING, Array, Forms, Object, Range, Row, walk
 from .scoring import ScoreReport
 
 #: spec of the built-in demo forecaster: one Poisson per node, rate equal to
@@ -83,135 +84,105 @@ class ExperimentConfig:
         return self.base_dir / path_str  # an absolute path replaces base_dir
 
 
-def _hierarchy_from_config(section: dict, base_dir: Path) -> Hierarchy:
-    unknown = set(section) - {"bottom_period_count", "factors", "a_matrix_file"}
-    if unknown:
-        raise ValueError(f"unknown hierarchy key(s) {sorted(unknown)}")
+def _table(cls, child: str, null=(), **kinds) -> Object:
+    """A row per field of `cls` named in `kinds`, of that JSON type and the field's
+    default (required where it has none); null reads as the key left out where the
+    default is None or the key is in `null`."""
+    rows = []
+    for f in fields(cls):
+        if f.name in kinds:
+            default = f.default if f.default_factory is MISSING else f.default_factory()
+            rows.append(Row(f.name, kinds[f.name], required=default is MISSING,
+                            null=default is None or f.name in null,
+                            default=None if default is MISSING else default))
+    return Object(*rows, child=child)
+
+
+def _hierarchy_source(section: dict) -> str:
+    """The form of a hierarchy section: the one source it names."""
     has_file = "a_matrix_file" in section
     if has_file == ("bottom_period_count" in section or "factors" in section):
-        raise ValueError(
-            "hierarchy needs exactly one source: bottom_period_count+factors "
-            "or a_matrix_file"
-        )
-    if has_file:
-        path = _string("hierarchy.a_matrix_file", section["a_matrix_file"])
-        return Hierarchy.from_json((base_dir / path).read_text())
-    factors = section.get("factors")
-    if not isinstance(factors, list):
-        raise ValueError(f"hierarchy.factors must be an array of integers, got {factors!r}")
-    return build_temporal_hierarchy(
-        _integer("hierarchy.bottom_period_count", section.get("bottom_period_count"),
-                 required=True),
-        [_integer(f"hierarchy.factors[{k}]", factor, required=True)
-         for k, factor in enumerate(factors)])
+        raise ValueError("hierarchy needs exactly one source: bottom_period_count+factors "
+                         "or a_matrix_file")
+    return "a_matrix_file" if has_file else "factors"
 
 
-def _integer(key: str, value, minimum: int | None = None, required: bool = False):
-    """`value` checked by name: an int (not a bool) of at least `minimum`.
+_AT_LEAST_0 = INT._replace(range=Range(0))
 
-    None passes unless `required`.
-    """
-    if (value is not None or required) and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    if value is not None and minimum is not None and value < minimum:
-        raise ValueError(f"{key} must be >= {minimum}, got {value}")
-    return value
+#: an experiment config; a `hierarchy` names exactly one source
+CONFIG = _table(
+    ExperimentConfig, "{}", null=("output_dir",),
+    hierarchy=Forms(_hierarchy_source, {
+        "factors": Object(Row("bottom_period_count", COUNT, required=True),
+                          Row("factors", Array(COUNT, "an array of integers"), required=True),
+                          child="hierarchy.{}"),
+        "a_matrix_file": Object(Row("a_matrix_file", STRING, required=True),
+                                child="hierarchy.{}"),
+    }),
+    method=STRING, forecasts=STRING, observations=STRING, test_length=COUNT, output_dir=STRING,
+    sampler=_table(SamplerSettings, "sampler.{}", chains=COUNT, draws=COUNT,
+                   burn_in=_AT_LEAST_0, thin=COUNT, seed=_AT_LEAST_0),
+    scoring=_table(ScoringSettings, "scoring.{}",
+                   alpha=NUMBER._replace(range=Range(0, 1, open=True)), baseline=STRING),
+    methods=Object(child="methods.{}", rest=STRING),
+)
+
+#: `scoring` keys of older configs, each ignored with one DeprecationWarning
+DEPRECATED_SCORING_KEYS = ("es_batch", "seed")
 
 
 def _env_seed() -> int | None:
-    """RECONC_SEED checked as a seed; None where it is unset."""
+    """RECONC_SEED checked as a sampler seed; None where it is unset."""
     text = os.environ.get("RECONC_SEED")
+    if text is None:
+        return None
     try:
-        value = int(text) if text is not None else None
+        value = int(text)
     except ValueError:
         value = text  # refused by name
-    return _integer("RECONC_SEED", value, minimum=0)
-
-
-def _string(key: str, value) -> str:
-    """`value` checked by name to be a JSON string."""
-    if not isinstance(value, str):
-        raise ValueError(f"{key} must be a string, got {value!r}")
+    walk(_AT_LEAST_0, value, "RECONC_SEED")
     return value
-
-
-def _object(key: str, value) -> dict:
-    """`value` checked by name to be a JSON object."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{key} must be a JSON object, got {value!r}")
-    return value
-
-
-def _settings(section: str, cls, values: dict):
-    """`cls(**values)`, refusing the keys that `cls` has no field for by name."""
-    unknown = set(values) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown {section} key(s) {sorted(unknown)}")
-    return cls(**values)
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse an experiment config JSON file.
+    """Parse an experiment config JSON file, read as UTF-8 after any byte-order mark.
 
-    `test_length` and the `sampler` counts and seed must be JSON integers:
-    `test_length`, `chains`, `draws` and `thin` at least 1, `burn_in` and the
-    seed at least 0. The RECONC_SEED environment variable overrides the
-    sampler seed and must be a non-negative integer too. A seed is mandatory
-    whenever the method stores sampled draws (probCount_mcmc, truncated).
-    `scoring.alpha` must be a JSON number in (0, 1). The config and its
-    `hierarchy`, `sampler`, `scoring` and `methods` values must be JSON
-    objects. `method`, `forecasts`, `observations`, `output_dir`,
-    `scoring.baseline`, the `methods` directories and
-    `hierarchy.a_matrix_file` must be strings, `hierarchy.bottom_period_count`
-    an integer and `hierarchy.factors` an array of integers. The `scoring`
-    keys `es_batch` and `seed` of older configs are ignored with one
-    DeprecationWarning each; any other unknown key, at the top level or in
-    `hierarchy`, `sampler` or `scoring`, is refused by name.
+    The DEPRECATED_SCORING_KEYS are dropped, each with one DeprecationWarning;
+    then the config is walked against CONFIG, which refuses by name each value
+    and key it does not allow. RECONC_SEED, checked as the sampler seed is,
+    overrides that seed. A seed is mandatory whenever the method stores
+    sampled draws (probCount_mcmc, truncated).
     """
     path = Path(path)
-    raw = _object("config", json.loads(path.read_text()))
-    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)} - {"base_dir"}
-    if unknown:
-        raise ValueError(f"unknown config key(s) {sorted(unknown)}")
-    base_dir = path.parent
-    h = _hierarchy_from_config(_object("hierarchy", raw.get("hierarchy")), base_dir)
-
-    sampler = _settings("sampler", SamplerSettings, _object("sampler", raw.get("sampler", {})))
-    scoring_raw = dict(_object("scoring", raw.get("scoring", {})))
-    for key in ("es_batch", "seed"):
-        if key in scoring_raw:
-            del scoring_raw[key]
-            warnings.warn(f"scoring.{key} is deprecated and ignored: the energy score "
-                          "is computed in closed form", DeprecationWarning, stacklevel=2)
-    scoring_cfg = _settings("scoring", ScoringSettings, scoring_raw)
-    test_length = _integer("test_length", raw.get("test_length"), minimum=1)
-    for key, value in vars(sampler).items():
-        optional = key in ("burn_in", "seed")
-        _integer(f"sampler.{key}", value, minimum=0 if optional else 1, required=not optional)
-    alpha = scoring_cfg.alpha
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
-        raise ValueError(f"scoring.alpha must be a number, got {alpha!r}")
-    if not 0 < alpha < 1:
-        raise ValueError(f"scoring.alpha must be in (0, 1), got {alpha}")
+    raw = json.loads(path.read_text(encoding="utf-8-sig"))
+    scoring = raw.get("scoring") if isinstance(raw, dict) else None
+    if isinstance(scoring, dict):
+        for key in DEPRECATED_SCORING_KEYS:
+            if key in scoring:
+                warnings.warn(f"scoring.{key} is deprecated and ignored: the energy score "
+                              "is computed in closed form", DeprecationWarning, stacklevel=2)
+        raw["scoring"] = {k: v for k, v in scoring.items() if k not in DEPRECATED_SCORING_KEYS}
+    walk(CONFIG, raw, "config")
+    section = raw["hierarchy"]
+    if "a_matrix_file" in section:
+        h = Hierarchy.from_json((path.parent / section["a_matrix_file"])
+                                .read_text(encoding="utf-8-sig"))
+    else:
+        h = build_temporal_hierarchy(section["bottom_period_count"], section["factors"])
+    sampler = SamplerSettings(**raw.get("sampler", {}))
     env_seed = _env_seed()
     if env_seed is not None:
         sampler.seed = env_seed
-    _string("scoring.baseline", scoring_cfg.baseline)
-    methods = _object("methods", raw.get("methods", {}))
-    for name, out_dir in methods.items():
-        _string(f"methods.{name}", out_dir)
-    strings = {key: _string(key, raw[key])  # null reads as the key left out
-               for key in ("method", "forecasts", "observations", "output_dir")
-               if raw.get(key) is not None}
-
-    method = strings.get("method")
+    method = raw.get("method")
     if method is not None and method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
     if method is not None and METHODS[method].store is _store_draws and sampler.seed is None:
         raise ValueError(f"method {method!r} is stochastic: a sampler seed is mandatory")
-
-    return ExperimentConfig(hierarchy=h, test_length=test_length, sampler=sampler,
-                            scoring=scoring_cfg, methods=methods, base_dir=base_dir, **strings)
+    given = {row.key: raw[row.key] for row in CONFIG.rows
+             if row.null and raw.get(row.key) is not None}
+    return ExperimentConfig(hierarchy=h, sampler=sampler,
+                            scoring=ScoringSettings(**raw.get("scoring", {})),
+                            methods=raw.get("methods", {}), base_dir=path.parent, **given)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +297,7 @@ def read_forecasts(path) -> dict[str, dict[str, dict]]:
     object with neither a "dist" nor a "samples" key; otherwise it is one
     series' {label: entry} map, read as series "series".
     """
-    raw = json.loads(Path(path).read_text())
+    raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     if not isinstance(raw, dict) or not raw:
         raise ValueError("forecast file must be a non-empty JSON object")
     nested = all(isinstance(v, dict) and "dist" not in v and "samples" not in v
@@ -338,15 +309,10 @@ def read_forecasts(path) -> dict[str, dict[str, dict]]:
 
 
 def _parse_entry(parse, entries: dict[str, dict], label: str):
-    """`parse(entries[label])`, refusing a malformed entry by an error naming the node."""
-    entry = entries[label]
-    if not isinstance(entry, dict):
-        raise ValueError(f"node {label!r}: forecast entry must be a JSON object, got {entry!r}")
+    """`parse(entries[label])`, its refusal naming the node."""
     try:
-        return parse(entry)
-    except KeyError as exc:
-        raise ValueError(f"node {label!r}: forecast entry has no {exc.args[0]!r} key") from None
-    except (TypeError, ValueError) as exc:
+        return parse(entries[label])
+    except ValueError as exc:
         raise ValueError(f"node {label!r}: {exc}") from exc
     except ReconcError as exc:
         raise type(exc)(f"node {label!r}: {exc}") from exc
@@ -897,7 +863,7 @@ def demo(name: str, out_dir=None, seed: int | None = None, quiet: bool = False) 
         raise ValueError(f"unknown demo {name!r}; expected one of {DEMO_NAMES}")
     if seed is None:
         seed = _env_seed() or 0
-    _integer("seed", seed, minimum=0)
+    walk(_AT_LEAST_0, seed, "seed")
     out = Path(out_dir) if out_dir is not None else Path(f"demo_{name}")
     out.mkdir(parents=True, exist_ok=True)
     if not quiet:

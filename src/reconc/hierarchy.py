@@ -13,6 +13,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DuplicateLevel, InvalidAggregation
+from .schema import COUNT, INT, STRING, Array, Object, Range, Row, walk
+
+#: a hierarchy file; labels default to `default_labels(A)`, m to A's width
+HIERARCHY_FILE = Object(
+    Row("m", COUNT),
+    Row("labels", Array(STRING, "an array of strings"), null=True),
+    Row("A", Array(Array(INT._replace(range=Range(0, 1)), "an array of integers"),
+                   "an array of arrays of integers"), required=True),
+)
 
 
 @dataclass(frozen=True)
@@ -32,11 +41,12 @@ class Hierarchy:
     s_matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = np.asarray(self.a_matrix, dtype=np.int64)
+        a = np.asarray(self.a_matrix)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise DimensionError(f"A matrix must be 2-d and non-empty, got shape {a.shape}")
-        if not np.isin(a, (0, 1)).all():
+        if not np.isin(a, (0, 1)).all():  # before the cast, which would read 1.5 as 1
             raise InvalidAggregation("A matrix entries must be 0 or 1")
+        a = a.astype(np.int64)
         if (a.sum(axis=1) < 1).any():
             raise InvalidAggregation("every upper node must aggregate at least one bottom node")
         object.__setattr__(self, "a_matrix", a)
@@ -100,11 +110,16 @@ class Hierarchy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Hierarchy":
-        a = np.asarray(d["A"], dtype=np.int64)
+        """The hierarchy of a dict walked against HIERARCHY_FILE, whose A rows have one length."""
+        walk(HIERARCHY_FILE, d, "hierarchy file")
+        widths = sorted({len(row) for row in d["A"]})
+        if len(widths) > 1:
+            raise ValueError(f"A must hold rows of one length, got lengths {widths}")
+        a = np.array(d["A"], dtype=np.int64)
         labels = d.get("labels")
         if labels is None:
             labels = default_labels(a)
-        if int(d.get("m", a.shape[1])) != a.shape[1]:
+        if d.get("m", a.shape[1]) != a.shape[1]:
             raise DimensionError("declared m does not match the A matrix width")
         return cls(a, tuple(labels))
 
@@ -137,10 +152,15 @@ def build_temporal_hierarchy(bottom_period_count: int, aggregation_factors: list
             in [2, bottom_period_count].
 
     Raises:
-        InvalidAggregation: a factor does not divide bottom_period_count.
+        InvalidAggregation: an argument is not an integer (a bool is not), or
+            a factor does not divide bottom_period_count.
         DuplicateLevel: repeated factor, or factor 1 / a factor that repeats
             the total level.
     """
+    for value in (bottom_period_count, *aggregation_factors):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidAggregation(f"bottom_period_count and factors must be integers, "
+                                     f"got {value!r}")
     m = int(bottom_period_count)
     if m < 1:
         raise InvalidAggregation("bottom_period_count must be positive")
@@ -152,7 +172,7 @@ def build_temporal_hierarchy(bottom_period_count: int, aggregation_factors: list
     if len(set(factors)) != len(factors):
         raise DuplicateLevel(f"duplicated aggregation factors in {factors}")
     for k in factors:
-        if k > m or m % k != 0:
+        if not 1 < k <= m or m % k != 0:
             raise InvalidAggregation(f"factor {k} does not divide bottom_period_count {m}")
 
     rows = []

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from reconc import harness, mint
+from reconc import harness, mint, schema
 from reconc.conditioning import BaseForecastSet, CountJoint, SamplerDiagnostics, TrimDiagnostics
 from reconc.distributions import Poisson
 from reconc.hierarchy import build_temporal_hierarchy
@@ -108,3 +108,15 @@ def read_artifact(record: dict, method_dir: Path):
             return mint.GaussianReconciled(**arrays)
         return CountJoint(arrays["bottom_support"].astype(np.int64), arrays["probabilities"],
                           TrimDiagnostics(**diagnostics) if diagnostics is not None else None)
+
+
+def key_paths(table, prefix: str = "") -> dict[str, "schema.Row"]:
+    """Every key path of an input table, dotted as the config's refusals name it, to its row."""
+    out = {}
+    objects = table.forms.values() if isinstance(table, schema.Forms) else [table]
+    for obj in objects:
+        for row in obj.rows:
+            out[prefix + row.key] = row
+            if isinstance(row.kind, schema.Object):
+                out.update(key_paths(row.kind, f"{prefix}{row.key}."))
+    return out

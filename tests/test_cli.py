@@ -413,3 +413,47 @@ def test_cli_import_leaves_process_pools_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[False, False]"
+
+
+@pytest.mark.parametrize("entry, key", [
+    ({"dist": "poisson", "lambda": 2, "lamda": 3}, "lamda"),
+    ({"dist": "negbin", "r": 2, "p": 0.5, "lambda": 1}, "lambda"),
+    ({"samples": [1, 2], "dist": "poisson"}, "dist"),
+])
+def test_unknown_forecast_entry_key_exit_code(tmp_path, capsys, entry, key):
+    (tmp_path / "fc.json").write_text(json.dumps({"s1": {"b1": entry, "b2": POISSON,
+                                                         "agg2_1": POISSON}}))
+    cfg = write_config(tmp_path / "cfg.json", hierarchy=H2_CONFIG, method="probCount_exact",
+                       forecasts="fc.json", output_dir="out")
+    assert main(["reconcile", "--config", str(cfg), "--quiet"]) == 2
+    assert capsys.readouterr().err == (f"error: series 's1': node 'b1': unknown forecast entry "
+                                       f"key(s) [{key!r}]\n")
+
+
+@pytest.mark.parametrize("h_file, refusal", [
+    ({"A": [[1.5, 1.0]]}, "A[0][0] must be an integer, got 1.5"),
+    ({"m": 2.5, "A": [[1, 1]]}, "m must be an integer, got 2.5"),
+    ({"m": "2", "A": [[1, 1]]}, "m must be an integer, got '2'"),
+    ({"A": [[1, True]]}, "A[0][1] must be an integer, got True"),
+    ({"labels": [1, 2, 3], "A": [[1, 1]]}, "labels[0] must be a string, got 1"),
+])
+def test_malformed_hierarchy_file_exit_code(tmp_path, capsys, h_file, refusal):
+    (tmp_path / "h.json").write_text(json.dumps(h_file))
+    (tmp_path / "fc.json").write_text(json.dumps({"b1": POISSON, "b2": POISSON, "u1": POISSON}))
+    cfg = write_config(tmp_path / "cfg.json", hierarchy={"a_matrix_file": "h.json"},
+                       method="probCount_exact", forecasts="fc.json", output_dir="out")
+    assert main(["reconcile", "--config", str(cfg), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+
+
+def test_json_inputs_with_a_byte_order_mark_read_as_without(tmp_path, capsys):
+    (tmp_path / "h.json").write_text("\ufeff" + json.dumps({"A": [[1, 1]]}), encoding="utf-8")
+    fc = json.dumps({"b1": POISSON, "b2": POISSON, "u1": POISSON})
+    (tmp_path / "fc.json").write_text("\ufeff" + fc, encoding="utf-8")
+    for name, bom in (("plain", ""), ("bom", "\ufeff")):
+        cfg = write_config(tmp_path / f"{name}.json", hierarchy={"a_matrix_file": "h.json"},
+                           method="probCount_exact", forecasts="fc.json", output_dir=name)
+        cfg.write_text(bom + cfg.read_text(), encoding="utf-8")
+        assert main(["reconcile", "--config", str(cfg), "--quiet"]) == 0
+    assert ((tmp_path / "bom" / "summaries.json").read_bytes()
+            == (tmp_path / "plain" / "summaries.json").read_bytes())

@@ -127,3 +127,42 @@ def test_general_hierarchy_from_a_matrix():
     h = Hierarchy.from_dict({"m": 3, "A": a.tolist(), "labels": None})
     assert h.node_labels == ("u1", "u2", "b1", "b2", "b3")
     assert aggregate(h, [1, 2, 3]).tolist() == [6, 4, 1, 2, 3]
+
+
+@pytest.mark.parametrize("args", [(2.5, [2.7]), ("4", ["2"]), (True, [2]), (4, [2.0])])
+def test_temporal_hierarchy_refuses_arguments_that_are_not_integers(args):
+    with pytest.raises(InvalidAggregation, match="must be integers"):
+        build_temporal_hierarchy(*args)
+
+
+def test_temporal_hierarchy_takes_numpy_integers():
+    h = build_temporal_hierarchy(np.int64(4), [np.int32(2), 4])
+    assert h.node_labels == build_temporal_hierarchy(4, [2, 4]).node_labels
+
+
+@pytest.mark.parametrize("factor", [0, -2])
+def test_temporal_hierarchy_refuses_a_factor_below_one(factor):
+    with pytest.raises(InvalidAggregation, match=f"factor {factor} does not divide"):
+        build_temporal_hierarchy(4, [factor])
+
+
+def test_a_matrix_entries_are_checked_before_the_integer_cast():
+    with pytest.raises(InvalidAggregation, match="entries must be 0 or 1"):
+        Hierarchy(np.array([[1.5, 1.0]]), ("u1", "b1", "b2"))
+    assert Hierarchy(np.array([[1.0, 1.0]]), ("u1", "b1", "b2")).a_matrix.dtype == np.int64
+
+
+@pytest.mark.parametrize("text, refusal", [
+    ('{"m": 2, "labels": ["a", "b", "c"], "A": [[1.5, 1.0]]}', "A[0][0] must be an integer, got 1.5"),
+    ('{"m": 2.5, "A": [[1, 1]]}', "m must be an integer, got 2.5"),
+    ('{"m": "2", "A": [[1, 1]]}', "m must be an integer, got '2'"),
+    ('{"A": [[1, true]]}', "A[0][1] must be an integer, got True"),
+    ('{"labels": [1, 2, 3], "A": [[1, 1]]}', "labels[0] must be a string, got 1"),
+    ('{"A": [[1, 2]]}', "A[0][1] must be in [0, 1], got 2"),
+    ('{"A": [[1, 1, 0], [1, 1]]}', "A must hold rows of one length, got lengths [2, 3]"),
+    ('{"A": [[1, 1]], "B": 1}', "unknown hierarchy file key(s) ['B']"),
+])
+def test_hierarchy_file_refused_by_path(text, refusal):
+    with pytest.raises(ValueError) as info:
+        Hierarchy.from_json(text)
+    assert str(info.value) == refusal
