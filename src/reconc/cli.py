@@ -11,6 +11,14 @@ from .errors import ReconcError
 from .hierarchy import build_temporal_hierarchy
 
 
+def _factors(text: str) -> list[int]:
+    """The integers of a comma-separated list; empty items are skipped."""
+    try:
+        return [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reconc",
@@ -36,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_h = sub.add_parser("hierarchy", help="print the summing matrix of a temporal hierarchy")
     p_h.add_argument("--bottom", type=int, required=True, help="bottom period count")
-    p_h.add_argument("--factors", required=True,
+    p_h.add_argument("--factors", type=_factors, required=True,
                      help="comma-separated aggregation factors, e.g. 2,3,4,6,12")
     p_h.add_argument("--json", action="store_true", dest="as_json",
                      help="print the hierarchy as JSON instead of the S matrix")
@@ -55,8 +63,7 @@ def main(argv=None) -> int:
         elif args.command == "demo":
             harness.demo(args.name, out_dir=args.out, seed=args.seed, quiet=args.quiet)
         elif args.command == "hierarchy":
-            factors = [int(x) for x in args.factors.split(",") if x]
-            h = build_temporal_hierarchy(args.bottom, factors)
+            h = build_temporal_hierarchy(args.bottom, args.factors)
             if args.as_json:
                 print(json.dumps(h.to_dict()))
             else:

@@ -126,118 +126,101 @@ class CountJoint:
         return self.bottom_support[idx]
 
 
-@dataclass
-class _ExactGrid:
-    """Cell (c, b) of a grid, c a cell of the first m - 1 bottoms (C order) and b the
-    last bottom, has probability `prefix[c] * last[state[c], b]`; `mass[c]` sums (c, .)."""
+def _exact_pass(h: Hierarchy, base: BaseForecastSet, epsilon: float, cell_cap: int,
+                upper: list[CountPmf | None], tol: float = 0.0):
+    """Atoms of the bottom-up joint conditioned on `upper`, by one forward/backward pass.
 
-    shape: tuple[int, ...]
-    prefix: np.ndarray
-    state: np.ndarray
-    last: np.ndarray
-    mass: np.ndarray
+    Each bottom pmf is cut at its 1-epsilon quantile, giving a grid of
+    `cells` cells, C order. The state after bottom k is the vector of the
+    partial sums of the present evidences' A rows that are open (begun, not
+    ended). Step k multiplies a prefix's weight by `f_k(b_k)`, then by the
+    product, in A-row order, of the present evidences whose rows end at k,
+    each at its row's sum, and of a power of two near the inverse total (it
+    is exact, so it cancels in the normalizer): the forward pass sums these
+    weights per (state, b_k), and each next state's mass is the pairwise
+    sum of the masses that reach it, as is its edge mass, that of prefixes
+    where some bottom sits at its top cell while its pmf goes on beyond it.
+    The backward pass gives each state the mass of all its completions.
+    Prefixes are then expanded bottom by bottom, in C order, step by step
+    as above; only those whose weight times backward mass is at least the
+    floor `tol / cells` are kept, and their atoms are their weights over
+    the forward total. With tol 0 every atom is kept, zeros included. The
+    atoms of a dropped prefix are lighter than the floor, up to rounding;
+    their mass is summed directly. SupportTooLarge is raised before any
+    array is allocated.
+    IncompatibleEvidence names the first evidence, in order of application,
+    after which no mass is left: later factors have positive sums, so a
+    partial product holds none exactly when the full one would.
 
-    def cells(self, rows=slice(None)) -> np.ndarray:
-        """The cells under the prefix cells `rows`, shape (rows, size of the last bottom)."""
-        out = self.last[self.state[rows]]
-        out *= self.prefix[rows, None]
-        return out
-
-
-def _linear_index(sizes, steps) -> np.ndarray:
-    """`sum_j steps[j] * c[j]` for each cell c of the C-order grid of `sizes`, flat."""
-    out = np.zeros((), dtype=np.int64)
-    for size, step in zip(sizes, steps):
-        out = np.add.outer(out, np.arange(size, dtype=np.int64) * step)
-    return out.reshape(-1)
-
-
-def _exact_grid(h: Hierarchy, base: BaseForecastSet, epsilon: float, cell_cap: int,
-                upper: list[CountPmf | None]) -> _ExactGrid:
-    """Bottom-up probabilities conditioned on `upper`, one axis per bottom (C order).
-
-    The prefix grid G over the first m - 1 bottoms grows by one axis at a
-    time. Right after axis k is added, each present evidence whose A row
-    ends at k multiplies in, in A-row order (bucket elimination), as a
-    strided (Hankel) view of its pmf. The evidences whose rows end at the
-    last bottom form one table over their rows' partial sums s on the
-    prefix, `F[s, b] = f_m(b) * prod_i g_i(s_i + b)`: a row per s in the
-    box of reachable sums, or per prefix cell where that box is larger.
-    Cell (c, b) is `G(c) * (F[s(c), b] / Z)`, `Z = sum_c G(c) * sum_b F[s(c), b]`.
-    A power of two near the inverse total after an evidence scales the next
-    evidence's pmf; it is exact, so it cancels in that quotient. Cells agree
-    with the per-atom chain bottom_up_exact + condition_on_upper within a
-    few ulps, with the same zeros, and with no evidence equal
-    bottom_up_exact to the bit. SupportTooLarge is raised before any grid
-    is allocated. IncompatibleEvidence names the first evidence, in
-    application order, after which the grid holds no mass: later marginals
-    have positive sums, so a partial grid holds none exactly when the full
-    one would.
+    Returns the support of the kept atoms (C order; a full grid
+    column-major), their probabilities, the mass left out and the edge mass.
     """
     base.validate(h)
     sizes = [pmf.quantile_truncate(epsilon) + 1 for pmf in base.bottom]
-    n_cells = math.prod(sizes)
-    if n_cells > cell_cap:
+    cells = math.prod(sizes)
+    if cells > cell_cap:
         raise SupportTooLarge(
-            f"product support has {n_cells:.3g} cells (cap {cell_cap}); "
+            f"product support has {cells:.3g} cells (cap {cell_cap}); "
             "use reconcile_mcmc instead"
         )
-    marginals = [pmf.pmf(np.arange(s)) for pmf, s in zip(base.bottom, sizes)]
-    a, tops, last = h.a_matrix, np.array(sizes) - 1, h.m - 1
-    last_axis = last - np.argmax(a[:, ::-1], axis=1)
-
-    def hankel(pmf, in_row, shape):  # T[x] = pmf(sum of x over the axes in the row)
-        return np.lib.stride_tricks.as_strided(
-            pmf, shape=tuple(np.where(in_row, shape, 1)),
-            strides=tuple(np.where(in_row, pmf.itemsize, 0)), writeable=False)
-
-    def rescale(total, i):  # a power of two near 1 / total: exact, so it cancels at the end
-        if total <= 0:
-            raise IncompatibleEvidence(
-                f"evidence for upper node {i} has no mass on reachable sums")
-        return np.ldexp(1.0, -np.frexp(total)[1])
-
-    grid, scale = np.ones(()), 1.0
-    for k in range(last):
-        grid = np.multiply.outer(grid, marginals[k])
-        for i in np.flatnonzero(last_axis == k):
-            if upper[i] is not None:
-                pmf = upper[i].pmf(np.arange(a[i] @ tops + 1)) * scale
-                grid *= hankel(pmf, a[i, : k + 1] == 1, sizes[: k + 1])
-                scale = rescale(grid.sum(), i)
-    prefix = grid.reshape(-1)
-
-    closing = [i for i in np.flatnonzero(last_axis == last) if upper[i] is not None]
-    reach = (a[closing, :last] @ tops[:last] + 1).tolist()  # partial sums 0..reach-1 per row
-    box = math.prod(reach) <= prefix.size
-    if box:  # one table row per vector of partial sums in the box of reachable ones
-        strides = np.array([math.prod(reach[r + 1:]) for r in range(len(closing))], np.int64)
-        state, states = _linear_index(sizes[:last], strides @ a[closing, :last]), reach
-    else:  # one table row per prefix cell
-        state, states = np.arange(prefix.size), [prefix.size]
-    reached = np.bincount(state, weights=prefix, minlength=math.prod(states))  # G on each row
-    table = np.tile(marginals[last], (*states, 1))
-    for r, i in enumerate(closing):
-        pmf = upper[i].pmf(np.arange(a[i] @ tops + 1)) * scale
-        if box:
-            table *= hankel(pmf, np.append(np.arange(len(closing)) == r, True), table.shape)
-        else:
-            sums = _linear_index(sizes[:last], a[i, :last])
-            table *= np.lib.stride_tricks.sliding_window_view(pmf, sizes[last])[sums]
-        scale = rescale((reached @ table.reshape(-1, sizes[last])).sum(), i)
-    table = table.reshape(-1, sizes[last])
-    mass = table.sum(axis=1)[state]
-    mass *= prefix
-    total = mass.sum()
-    return _ExactGrid(tuple(sizes), prefix, state, table / total, mass / total)
-
-
-def _grid_joint(grid: _ExactGrid) -> CountJoint:
-    """The joint with one atom per cell of an exact grid, in C order."""
-    # column-major view of the C-order index grid; a full grid stored as an .npz
-    # (the demos, deflated at level 1) then deflates column by column, which is fast
-    support = np.indices(grid.shape, dtype=np.int64).reshape(len(grid.shape), -1).T
-    return CountJoint(support, grid.cells().reshape(-1))
+    a, tops = h.a_matrix, np.array(sizes) - 1
+    last = h.m - 1 - np.argmax(a[:, ::-1], axis=1)
+    evidence = {i: pmf.pmf(np.arange(a[i] @ tops + 1)) for i, pmf in enumerate(upper)
+                if pmf is not None}
+    open_sums, alpha, edge, steps = {}, np.ones(1), np.zeros(1), []
+    for k, (pmf, size) in enumerate(zip(base.bottom, sizes)):
+        b = np.arange(size)
+        f = pmf.pmf(b)
+        factor = np.ones((len(alpha), size))  # (states, b_k): the evidences closed at k
+        sums = {i: np.add.outer(open_sums.get(i, np.zeros(len(alpha), np.int64)), a[i, k] * b)
+                for i in evidence if i in open_sums or a[i, k]}
+        for i in sums:
+            if last[i] == k:
+                factor = factor * evidence[i][sums[i]]
+                if not alpha @ factor @ f > 0:
+                    raise IncompatibleEvidence(
+                        f"evidence for upper node {i} has no mass on reachable sums")
+        factor *= np.ldexp(1.0, -np.frexp(alpha @ factor @ f)[1])
+        key, radix = np.zeros(factor.size, np.int64), 1
+        for i in sums:
+            if last[i] > k:  # a mixed-radix key over the rows left open, renumbered densely
+                reach = int(a[i, : k + 1] @ tops[: k + 1]) + 1
+                if radix * reach > 2**62:
+                    key = np.unique(key, return_inverse=True)[1]
+                    radix = int(key.max()) + 1
+                key, radix = key * reach + sums[i].reshape(-1), radix * reach
+        order = np.argsort(key, kind="stable")  # each next state's transitions, in order
+        new = np.diff(key[order], prepend=-1) != 0
+        to, starts = np.empty_like(order), np.flatnonzero(new)
+        to[order] = np.cumsum(new) - 1
+        open_sums = {i: s.reshape(-1)[order[starts]] for i, s in sums.items() if last[i] > k}
+        at_top = (b == size - 1) & (pmf.pmf(size) > 0)
+        edge = np.where(at_top, alpha[:, None], edge[:, None]) * f * factor
+        alpha = alpha[:, None] * f * factor
+        edge, alpha = (np.add.reduceat(x.reshape(-1)[order], starts)  # pairwise, per state
+                       for x in (edge, alpha))
+        steps.append((f, factor, to.reshape(factor.shape)))
+    total = alpha[0]
+    completions = [np.ones(1)]
+    for f, factor, to in steps[:0:-1]:
+        completions.insert(0, (f * factor * completions[0][to]).sum(axis=1))
+    floor = tol / cells * total
+    weight, state, flat, left_out = np.ones(1), np.zeros(1, np.int64), np.zeros(1, np.int64), 0.0
+    for (f, factor, to), size, after in zip(steps, sizes, completions):
+        weight = (weight[:, None] * f * factor[state]).reshape(-1)
+        state = to[state].reshape(-1)
+        if tol:
+            flat = np.add.outer(flat * size, np.arange(size)).reshape(-1)
+            mass = weight * after[state]
+            keep = mass >= floor
+            left_out += mass[~keep].sum()
+            weight, state, flat = weight[keep], state[keep], flat[keep]
+    if tol:
+        support = np.stack(np.unravel_index(flat, sizes), axis=1)
+    else:  # column-major view of the C-order index grid; a full grid stored as an .npz
+        # (the demos, deflated at level 1) then deflates column by column, which is fast
+        support = np.indices(sizes, dtype=np.int64).reshape(len(sizes), -1).T
+    return support, weight / total, float(left_out / total), float(edge[0] / total)
 
 
 def bottom_up_exact(
@@ -256,7 +239,8 @@ def bottom_up_exact(
     Raises:
         SupportTooLarge: the grid would exceed cell_cap cells.
     """
-    return _grid_joint(_exact_grid(h, base, epsilon, cell_cap, [None] * h.n_upper))
+    support, p, _, _ = _exact_pass(h, base, epsilon, cell_cap, [None] * h.n_upper)
+    return CountJoint(support, p)
 
 
 def condition_on_upper(
@@ -268,7 +252,7 @@ def condition_on_upper(
     A[upper_index] @ b, then the joint is renormalized. Atoms with zero
     probability keep it: conditioning never revives them. Applied to
     bottom_up_exact for each evidence in A-row order, this is the per-atom
-    reference that reconcile_exact's grid matches within a few ulps.
+    reference that reconcile_exact matches within a few ulps.
 
     Raises:
         IncompatibleEvidence: the evidence puts zero mass on every aggregate
@@ -298,25 +282,37 @@ def reconcile_exact(
     grid stays an atom, so this is the oracle the samplers are tested
     against. The probabilities agree within 4 * (m + n_upper) ulps relative,
     with the same zeros, with condition_on_upper applied to bottom_up_exact
-    for each evidence in A-row order (see _exact_grid for the order used).
+    for each evidence in A-row order (see _exact_pass for the order used).
 
     Raises:
         SupportTooLarge: the grid would exceed cell_cap cells.
         IncompatibleEvidence: the evidences leave no mass on the grid; the
             message names the first, in order of application, that did.
     """
-    return _grid_joint(_exact_grid(h, base, epsilon, cell_cap, base.upper))
+    support, p, _, _ = _exact_pass(h, base, epsilon, cell_cap, base.upper)
+    return CountJoint(support, p)
 
 
-def _trim(p: np.ndarray, edge_mass: float,
+def _tie_margin(m: int) -> float:
+    """1 - 8 * m ulps: the factor by which `_trim` lowers tau for atoms over m bottoms."""
+    return 1 - 8 * m * np.finfo(float).eps
+
+
+def _trim(p: np.ndarray, edge_mass: float, m: int,
           offset: float = 0.0) -> tuple[np.ndarray, np.ndarray, TrimDiagnostics]:
     """Keep the atoms that carry mass, given atom probabilities and their edge mass.
 
-    The kept atoms are those at least tau, the lightest atom whose ascending
-    running total passes ATOM_TOL: zero-mass atoms always go, and every
-    dropped atom is lighter than every kept one. The running total starts
-    at `offset`, the mass of atoms left out of `p` as lighter than tau.
-    Returns the ascending flat indices of the kept atoms, their renormalized
+    Tau is the lightest atom whose ascending running total passes ATOM_TOL,
+    and the kept atoms are those at least `tau * _tie_margin(m)`, for atoms
+    over m bottoms: atoms equal in exact arithmetic but multiplied in
+    another order differ by a few ulps, so the margin keeps or drops such a
+    class whole, whatever the order of the products. 8 * m ulps is the
+    4 * (m + n_upper) ulp bound between two product orders at n_upper = m:
+    the trim sees the atoms and m, not the hierarchy. Zero-mass atoms always
+    go, every dropped atom is lighter than every kept one, and the dropped
+    mass stays within ATOM_TOL. The running total starts at `offset`, the
+    mass of atoms left out of `p` as lighter than the lowered tau. Returns
+    the ascending flat indices of the kept atoms, their renormalized
     probabilities and the diagnostics, and warns (TruncationWarning) on an
     edge mass above EDGE_MASS_WARN.
     """
@@ -330,7 +326,7 @@ def _trim(p: np.ndarray, edge_mass: float,
     ascending = np.sort(p)
     running = np.cumsum(np.concatenate(([offset], ascending)))  # offset + the k lightest
     tau = ascending[np.searchsorted(running[1:], ATOM_TOL, side="right")]
-    kept_at = np.flatnonzero(p >= tau)
+    kept_at = np.flatnonzero(p >= tau * _tie_margin(m))
     kept = p[kept_at]
     dropped_mass = float(running[len(p) - len(kept_at)])
     return kept_at, kept / kept.sum(), TrimDiagnostics(dropped_mass, edge_mass)
@@ -339,41 +335,18 @@ def _trim(p: np.ndarray, edge_mass: float,
 def _reconcile_exact_trimmed(h: Hierarchy, base: BaseForecastSet) -> CountJoint:
     """reconcile_exact(h, base) with only the atoms that `_trim` keeps, in grid order.
 
-    Only the prefix cells of mass at least the floor ATOM_TOL / (2 * cells)
-    are expanded, and only their cells at least the floor reach `_trim`.
-    Every atom under a lighter prefix cell is lighter than the floor too, and
-    the atoms under the floor, at most `cells` of them, hold less than
-    ATOM_TOL / 2, so the trim drops them all; their mass, summed directly per
-    light prefix cell and per light cell, starts its running total. The edge
-    mass is the mass on atoms where some bottom j sits at the grid's top
-    cell while its pmf goes on beyond it, summed over the cut bottoms j in
-    order on the atoms below every earlier cut bottom's top: a slab of the
-    prefix masses, or for the last bottom of the cells at its top.
+    The pass expands only the prefixes of mass at least the floor
+    `ATOM_TOL / (2 * cells) * _tie_margin(m)`. The atoms lighter than
+    ATOM_TOL / (2 * cells), at most `cells` of them, hold less than
+    ATOM_TOL / 2, so the running total passes ATOM_TOL at a tau no lighter
+    than that, and the lowered tau is no lighter than the floor: the trim
+    drops every atom under it. Their mass, summed directly per pruned
+    prefix, starts its running total.
     """
-    grid = _exact_grid(h, base, DEFAULT_EPSILON, DEFAULT_CELL_CAP, base.upper)
-    floor = ATOM_TOL / (2 * math.prod(grid.shape))
-    light = grid.mass < floor
-    masses = grid.mass.reshape(grid.shape[:-1])
-    edge_mass, below_top = 0.0, [slice(None)] * (h.m - 1)
-    for j, pmf in enumerate(base.bottom):
-        if pmf.pmf(grid.shape[j]) <= 0:
-            continue
-        if j < h.m - 1:
-            edge_mass += float(masses[(*below_top[:j], -1)].sum())
-            below_top[j] = slice(-1)
-        else:
-            at_top = grid.last[:, -1][grid.state]
-            at_top *= grid.prefix
-            edge_mass += float(at_top.reshape(masses.shape)[tuple(below_top)].sum())
-    rows = np.flatnonzero(~light)
-    cells = grid.cells(rows).reshape(-1)
-    heavy = cells >= floor
-    kept_at, kept, diagnostics = _trim(cells[heavy], edge_mass, float(
-        grid.mass[light].sum() + cells[~heavy].sum()))
-    kept_at = np.flatnonzero(heavy)[kept_at]
-    flat = rows[kept_at // grid.shape[-1]] * grid.shape[-1] + kept_at % grid.shape[-1]
-    support = np.stack(np.unravel_index(flat, grid.shape), axis=1)
-    return CountJoint(support, kept, diagnostics)
+    support, p, left_out, edge_mass = _exact_pass(
+        h, base, DEFAULT_EPSILON, DEFAULT_CELL_CAP, base.upper, ATOM_TOL / 2 * _tie_margin(h.m))
+    kept_at, kept, diagnostics = _trim(p, edge_mass, h.m, left_out)
+    return CountJoint(support[kept_at], kept, diagnostics)
 
 
 def _mcmc_tables(h: Hierarchy, base: BaseForecastSet):

@@ -284,7 +284,7 @@ _DIST = Row("dist", STRING, required=True)
 
 #: a forecast-file entry: one row set per form; a form's domain (a rate
 #: >= 0, probabilities that sum to 1, ...) is checked by its distribution
-FORECAST_ENTRY = Forms(_entry_form, {
+FORECAST_ENTRY = Forms(_entry_form, key="dist", forms={
     "poisson": _entry(_DIST, Row("lambda", NUMBER, required=True)),
     "negbin": _entry(_DIST, Row("r", NUMBER, required=True), Row("p", NUMBER, required=True)),
     "tabulated": _entry(_DIST, Row("probs", _NUMBERS, required=True)),
@@ -308,10 +308,11 @@ def count_pmf_from_dict(d: dict) -> CountPmf:
     {"samples": [...]} (fitted with fit_negbinomial).
     """
     walk(FORECAST_ENTRY, d, "forecast entry")
-    form = _COUNT_FORMS.get(_entry_form(d))
-    if form is None:
-        raise ValueError(f"not a count forecast entry: {d!r}")
-    return form(d)
+    form = _entry_form(d)
+    if form == "gaussian":
+        raise ValueError("forecast entry key 'dist' must name a count distribution for a "
+                         "count method, got 'gaussian'")
+    return _COUNT_FORMS[form](d)
 
 
 def gaussian_from_dict(d: dict) -> GaussianForecast:
@@ -322,7 +323,5 @@ def gaussian_from_dict(d: dict) -> GaussianForecast:
         return fit_gaussian(np.asarray(d["samples"], dtype=float))
     if form == "gaussian":
         return GaussianForecast(float(d["mean"]), float(d["var"]))
-    if form in _COUNT_FORMS:
-        pmf = _COUNT_FORMS[form](d)
-        return GaussianForecast(pmf.mean(), max(pmf.variance(), VARIANCE_FLOOR))
-    raise ValueError(f"not a forecast entry: {d!r}")
+    pmf = _COUNT_FORMS[form](d)
+    return GaussianForecast(pmf.mean(), max(pmf.variance(), VARIANCE_FLOOR))

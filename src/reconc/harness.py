@@ -130,6 +130,9 @@ CONFIG = _table(
 #: `scoring` keys of older configs, each ignored with one DeprecationWarning
 DEPRECATED_SCORING_KEYS = ("es_batch", "seed")
 
+#: smallest variance of a reconciled Gaussian node, as stored and as scored
+_GAUSSIAN_VAR_FLOOR = 1e-12
+
 
 def _env_seed() -> int | None:
     """RECONC_SEED checked as a sampler seed; None where it is unset."""
@@ -437,8 +440,9 @@ def _reconcile_truncated(h, entries, sampler, alpha, seed):
 
 def _reconcile_mint(h, entries, sampler, alpha, seed, spec):
     rec = mint.reconcile_gaussian(h, _gaussian_forecasts(h, entries), spec())
-    return {label: _gaussian_node_summary(rec.mean[i], max(rec.covariance[i, i], 1e-12), alpha)
-            for i, label in enumerate(h.node_labels)}, rec
+    return {label: _gaussian_node_summary(
+        rec.mean[i], max(rec.covariance[i, i], _GAUSSIAN_VAR_FLOOR), alpha)
+        for i, label in enumerate(h.node_labels)}, rec
 
 
 def _base_forecasts(h, entries, sampler, alpha, seed):
@@ -564,7 +568,7 @@ def _node_rps(node_summary: dict, y: int) -> float:
     marginal = node_summary["marginal"]
     if marginal["dist"] == "gaussian":
         return scoring.rps_gaussian_cc(
-            GaussianForecast(marginal["mean"], max(marginal["var"], 1e-12)), y)
+            GaussianForecast(marginal["mean"], max(marginal["var"], _GAUSSIAN_VAR_FLOOR)), y)
     return scoring.rps_discrete(count_pmf_from_dict(marginal), y)
 
 

@@ -110,7 +110,8 @@ class Hierarchy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Hierarchy":
-        """The hierarchy of a dict walked against HIERARCHY_FILE, whose A rows have one length."""
+        """The hierarchy of a dict walked against HIERARCHY_FILE: A rows of one length and
+        distinct labels."""
         walk(HIERARCHY_FILE, d, "hierarchy file")
         widths = sorted({len(row) for row in d["A"]})
         if len(widths) > 1:
@@ -119,6 +120,8 @@ class Hierarchy:
         labels = d.get("labels")
         if labels is None:
             labels = default_labels(a)
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"hierarchy file labels must be distinct, got {labels}")
         if d.get("m", a.shape[1]) != a.shape[1]:
             raise DimensionError("declared m does not match the A matrix width")
         return cls(a, tuple(labels))

@@ -71,11 +71,12 @@ class Object:
 
 class Forms(Object):
     """A JSON object of one of several forms: keys of no form are refused, then
-    `pick(value)` names its form (or raises); other names are left to the reader."""
+    `pick(value)` names its form (or raises). A value of no form is refused by
+    `key`, as left out or as none of the names of the forms that have it."""
 
-    def __init__(self, pick: Callable[[dict], Any], forms: dict[str, Object]):
+    def __init__(self, pick: Callable[[dict], Any], forms: dict[str, Object], key: str = ""):
         super().__init__()
-        self.pick, self.forms = pick, forms
+        self.pick, self.forms, self.key = pick, forms, key
         self.keys = frozenset().union(*(form.keys for form in forms.values()))
 
 
@@ -104,8 +105,13 @@ def walk(kind, value, path: str):
             raise ValueError(f"unknown {path} key(s) {sorted(value.keys() - kind.keys)}")
         if isinstance(kind, Forms):
             form = kind.forms.get(kind.pick(value))
-            if form is not None:
-                walk(form, value, path)
+            if form is None:
+                if kind.key not in value:
+                    raise ValueError(f"{path} has no {kind.key!r} key")
+                names = sorted(name for name, form in kind.forms.items() if kind.key in form.keys)
+                raise ValueError(f"{path} key {kind.key!r} must be one of {names}, "
+                                 f"got {value[kind.key]!r}")
+            walk(form, value, path)
         for row, name in kind.named:
             if row.key in value:
                 if value[row.key] is not None or not row.null:

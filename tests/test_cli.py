@@ -30,6 +30,15 @@ def test_hierarchy_bad_factor_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("factors", ["2,x", "2,,1.5"])
+def test_hierarchy_factor_that_is_not_an_integer_names_the_option(capsys, factors):
+    with pytest.raises(SystemExit) as exit_:
+        main(["hierarchy", "--bottom", "4", "--factors", factors])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --factors: not a list of integers: {factors!r}\n")
+
+
 def test_reconcile_and_score_commands(tmp_path, capsys):
     write_synthetic_observations(tmp_path / "obs.csv")
     rec_cfg = write_config(tmp_path / "rec.json", method="normal", output_dir="out_n")
@@ -208,6 +217,28 @@ def test_forecast_array_that_is_not_all_numbers_exit_code(tmp_path, capsys, meth
                        forecasts="fc.json", output_dir="out")
     assert main(["reconcile", "--config", str(cfg), "--quiet"]) == 2
     assert capsys.readouterr().err == (f"error: series 's1': node 'b1': forecast entry key "
+                                       f"{refusal}\n")
+
+
+NO_FORM_ENTRIES = [  # (entry of b1, method, refusal after "forecast entry ")
+    ({"lambda": 2}, method, "has no 'dist' key") for method in ("probCount_exact", "normal")
+] + [
+    ({"dist": "poison", "lambda": 2}, method,
+     "key 'dist' must be one of ['gaussian', 'negbin', 'poisson', 'tabulated'], got 'poison'")
+    for method in ("probCount_exact", "normal")
+] + [({"dist": "gaussian", "mean": 1.0, "var": 1.0}, "probCount_exact",
+      "key 'dist' must name a count distribution for a count method, got 'gaussian'")]
+
+
+@pytest.mark.parametrize("entry, method, refusal", NO_FORM_ENTRIES)
+def test_forecast_entry_of_no_form_is_refused_by_its_dist_key(tmp_path, capsys, entry, method,
+                                                              refusal):
+    forecasts = {"s1": {"b1": entry, "b2": POISSON, "agg2_1": POISSON}}
+    (tmp_path / "fc.json").write_text(json.dumps(forecasts))
+    cfg = write_config(tmp_path / "cfg.json", hierarchy=H2_CONFIG, method=method,
+                       forecasts="fc.json", output_dir="out")
+    assert main(["reconcile", "--config", str(cfg), "--quiet"]) == 2
+    assert capsys.readouterr().err == (f"error: series 's1': node 'b1': forecast entry "
                                        f"{refusal}\n")
 
 
@@ -436,6 +467,8 @@ def test_unknown_forecast_entry_key_exit_code(tmp_path, capsys, entry, key):
     ({"m": "2", "A": [[1, 1]]}, "m must be an integer, got '2'"),
     ({"A": [[1, True]]}, "A[0][1] must be an integer, got True"),
     ({"labels": [1, 2, 3], "A": [[1, 1]]}, "labels[0] must be a string, got 1"),
+    ({"labels": ["u1", "b1", "b1"], "A": [[1, 1]]},
+     "hierarchy file labels must be distinct, got ['u1', 'b1', 'b1']"),
 ])
 def test_malformed_hierarchy_file_exit_code(tmp_path, capsys, h_file, refusal):
     (tmp_path / "h.json").write_text(json.dumps(h_file))

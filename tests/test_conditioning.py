@@ -10,11 +10,9 @@ import pytest
 from helpers import GROUND_TRUTH, H421, MINIMAL, poisson_249
 from reconc import harness
 from reconc.conditioning import (
-    DEFAULT_CELL_CAP,
     BaseForecastSet,
     CountJoint,
     MarginalSummary,
-    _exact_grid,
     _trim,
     bottom_up_exact,
     condition_on_upper,
@@ -23,7 +21,7 @@ from reconc.conditioning import (
     reconcile_mcmc,
     summarize,
 )
-from reconc.distributions import DEFAULT_EPSILON, NegBinomial, Poisson, Tabulated
+from reconc.distributions import NegBinomial, Poisson, Tabulated
 from reconc.errors import (
     DimensionError,
     IncompatibleEvidence,
@@ -458,9 +456,19 @@ def row_case(row):
     return Hierarchy(a, tuple(default_labels(a))), BaseForecastSet(bottom, [Poisson(rate)])
 
 
-# every random_case of the agreement suite, the small temporal cases and the single rows
+def wide_rows_case():
+    """Three rows end at the last bottom; their partial sums span more vectors than the prefix."""
+    a = np.array([[1, 1, 1], [0, 1, 1], [1, 0, 1]])
+    bottom = [Poisson(3.0), Poisson(2.0), NegBinomial(2.0, 0.6)]
+    rates = 1.2 * a @ [pmf.mean() for pmf in bottom]
+    return (Hierarchy(a, tuple(default_labels(a))),
+            BaseForecastSet(bottom, [Poisson(rate) for rate in rates]))
+
+
+# every random_case of the agreement suite, the small temporal cases, the single rows and
+# rows whose partial sums span more vectors than the prefix has cells
 EXACT_CASES = ([f"random_{seed}" for seed in SEEDS] + ["minimal", "minimal_uniform", "h421"]
-               + sorted(ROW_CASES))
+               + sorted(ROW_CASES) + ["wide_rows"])
 
 
 def exact_case(name):
@@ -470,6 +478,8 @@ def exact_case(name):
         return row_case(ROW_CASES[name])
     if name == "m6":
         return m6_poisson_case()
+    if name == "wide_rows":
+        return wide_rows_case()
     return {
         "minimal": (MINIMAL, poisson_249()),
         "minimal_uniform": (MINIMAL, BaseForecastSet(uniform_pair().bottom,
@@ -479,13 +489,16 @@ def exact_case(name):
 
 
 @pytest.mark.parametrize("case", EXACT_CASES)
-def test_reconcile_exact_equals_the_per_atom_chain_to_the_bit(case):
-    # the per-atom chain multiplies the factors in the grid's order
+def test_reconcile_exact_is_within_its_normalizer_of_the_per_atom_chain(case):
+    # the per-atom chain multiplies each atom's factors in the pass's order and sums the
+    # same atoms for its normalizer in another order: the two quotients differ by a few ulps
     h, base = exact_case(case)
     support, probabilities = per_atom_chain(h, base)
-    grid = reconcile_exact(h, base)
-    assert np.array_equal(grid.bottom_support, support)
-    assert np.array_equal(grid.probabilities, probabilities)
+    joint = reconcile_exact(h, base)
+    assert np.array_equal(joint.bottom_support, support)
+    assert np.array_equal(joint.probabilities == 0, probabilities == 0)
+    np.testing.assert_allclose(joint.probabilities, probabilities,
+                               rtol=4 * np.finfo(float).eps, atol=0)
 
 
 @pytest.mark.parametrize("case", EXACT_CASES + ["m6"])
@@ -532,9 +545,9 @@ TRIM_ARRAYS = {
 }
 
 
-def _assert_trims_like_the_full_sort(p):
-    kept_at, kept, diagnostics = _trim(p, 0.0)
-    expected_at, expected_dropped = full_sort_trim(p)
+def _assert_trims_like_the_full_sort(p, m):
+    kept_at, kept, diagnostics = _trim(p, 0.0, m)
+    expected_at, expected_dropped = full_sort_trim(p, m)
     assert np.array_equal(kept_at, expected_at)
     assert np.array_equal(kept, p[expected_at] / p[expected_at].sum())
     # the same atoms added in another order
@@ -544,12 +557,13 @@ def _assert_trims_like_the_full_sort(p):
 
 @pytest.mark.parametrize("case", EXACT_CASES + ["m6"])
 def test_grouped_trim_keeps_the_atoms_of_the_full_sort_on_exact_grids(case):
-    _assert_trims_like_the_full_sort(reconcile_exact(*exact_case(case)).probabilities)
+    h, base = exact_case(case)
+    _assert_trims_like_the_full_sort(reconcile_exact(h, base).probabilities, h.m)
 
 
 @pytest.mark.parametrize("case", sorted(TRIM_ARRAYS))
 def test_grouped_trim_keeps_the_atoms_of_the_full_sort_on_built_arrays(case):
-    _assert_trims_like_the_full_sort(TRIM_ARRAYS[case])
+    _assert_trims_like_the_full_sort(TRIM_ARRAYS[case], m=2)  # atoms as over 2 bottoms
 
 
 def test_trim_joint_reads_non_contiguous_probabilities():
@@ -563,7 +577,7 @@ def test_trim_joint_reads_non_contiguous_probabilities():
     assert np.array_equal(got.probabilities, expected.probabilities)
     assert got.diagnostics == expected.diagnostics
     assert np.array_equal(got.bottom_support,
-                          full.bottom_support[full_sort_trim(full.probabilities)[0]])
+                          full.bottom_support[full_sort_trim(full.probabilities, MINIMAL.m)[0]])
 
 
 def _pipeline_exact(h, base, entries=None):
@@ -641,36 +655,43 @@ def test_pipeline_peaks_below_one_float_array_over_the_full_grid():
     assert peak < 10**6 * np.dtype(float).itemsize  # the grid has 10^6 cells
 
 
-def wide_rows_case():
-    """Three rows end at the last bottom; their partial sums span more vectors than the prefix."""
-    a = np.array([[1, 1, 1], [0, 1, 1], [1, 0, 1]])
-    bottom = [Poisson(3.0), Poisson(2.0), NegBinomial(2.0, 0.6)]
-    rates = 1.2 * a @ [pmf.mean() for pmf in bottom]
-    return (Hierarchy(a, tuple(default_labels(a))),
-            BaseForecastSet(bottom, [Poisson(rate) for rate in rates]))
-
-
-def test_pipeline_tabulates_the_last_bottom_per_prefix_cell_where_the_box_is_larger():
-    h, base = wide_rows_case()
-    grid = _exact_grid(h, base, DEFAULT_EPSILON, DEFAULT_CELL_CAP, base.upper)
-    first, second, _ = grid.shape
-    assert (first + second - 1) * second * first > first * second  # the box of partial sums
-    assert len(grid.last) == first * second  # one table row per prefix cell
-    full = reconcile_exact(h, base)
+def test_states_keyed_past_int64_are_renumbered():
+    # after b2, the partial sums of 70 open rows take 2**70 key values: unrenumbered, the
+    # first row's sum would be shifted out of an int64 key and b2's states merged
+    a = np.array([[0, 1, 1]] + [[1, 0, 1]] * 69)
+    h = Hierarchy(a, tuple(default_labels(a)))
+    bottom = [Tabulated(np.array(p)) for p in ([0.6, 0.4], [0.3, 0.7], [0.8, 0.2])]
+    base = BaseForecastSet(bottom, [Poisson(1.0 + i / 70) for i in range(70)])
+    joint = reconcile_exact(h, base)
     support, probabilities = per_atom_chain(h, base)
-    assert np.array_equal(full.bottom_support, support)
-    assert np.array_equal(full.probabilities, probabilities)
+    assert np.array_equal(joint.bottom_support, support)
+    np.testing.assert_allclose(joint.probabilities, probabilities,
+                               rtol=4 * np.finfo(float).eps, atol=0)
+
+
+def symmetric_m6_case(seed):
+    """Six equal Poisson(r) bottoms, r ~ U(0.4, 0.8), under factors 2, 3 and 6, with
+    each evidence at 0.9-1.3 times its bottom-up mean: many atoms tie in exact arithmetic."""
+    rng = np.random.default_rng(seed)
+    h = build_temporal_hierarchy(6, [2, 3, 6])
+    rate = rng.uniform(0.4, 0.8)
+    upper = [Poisson(rate * row.sum() * rng.uniform(0.9, 1.3)) for row in h.a_matrix]
+    return h, BaseForecastSet([Poisson(rate)] * 6, upper)
+
+
+@pytest.mark.parametrize("case", EXACT_CASES + [f"symmetric_m6_{seed}" for seed in range(4)])
+def test_kept_atoms_do_not_depend_on_the_order_of_the_products(case):
+    # the per-atom chain in reversed evidence order multiplies every atom in another order
+    if case.startswith("symmetric_m6_"):
+        h, base = symmetric_m6_case(int(case.removeprefix("symmetric_m6_")))
+    else:
+        h, base = exact_case(case)
     chain = bottom_up_exact(h, base)
-    for i, evidence in enumerate(base.upper):
-        chain = condition_on_upper(chain, h, i, evidence)
-    np.testing.assert_allclose(full.probabilities, chain.probabilities,
-                               rtol=4 * (h.m + h.n_upper) * np.finfo(float).eps, atol=0)
-    expected, got = trim_joint(full, base.bottom), _pipeline_exact(h, base)
-    assert len(got.probabilities) < len(full.probabilities)
-    assert np.array_equal(got.bottom_support, expected.bottom_support)
-    assert np.array_equal(got.probabilities, expected.probabilities)
-    assert got.diagnostics.to_dict() == pytest.approx(
-        expected.diagnostics.to_dict(), rel=len(full.probabilities) * np.finfo(float).eps, abs=0)
+    for i in reversed(range(h.n_upper)):
+        if base.upper[i] is not None:
+            chain = condition_on_upper(chain, h, i, base.upper[i])
+    expected = trim_joint(chain, base.bottom)
+    assert np.array_equal(_pipeline_exact(h, base).bottom_support, expected.bottom_support)
 
 
 def test_pipeline_warns_where_the_grid_cuts_posterior_mass():

@@ -161,6 +161,8 @@ def test_a_matrix_entries_are_checked_before_the_integer_cast():
     ('{"A": [[1, 2]]}', "A[0][1] must be in [0, 1], got 2"),
     ('{"A": [[1, 1, 0], [1, 1]]}', "A must hold rows of one length, got lengths [2, 3]"),
     ('{"A": [[1, 1]], "B": 1}', "unknown hierarchy file key(s) ['B']"),
+    ('{"labels": ["u1", "b1", "b1"], "A": [[1, 1]]}',
+     "hierarchy file labels must be distinct, got ['u1', 'b1', 'b1']"),
 ])
 def test_hierarchy_file_refused_by_path(text, refusal):
     with pytest.raises(ValueError) as info:

@@ -157,7 +157,7 @@ def cases():
                     named = parts + [UNKNOWN] if label == "unknown key" else parts
                     mutated = apply(doc, path, change)
                     if fname == "fc.json" and len(path) == 3 and not picks_a_form(mutated, path):
-                        named = parts[:2]  # an entry of no form is refused, quoted
+                        named = parts[:2] + ["'dist'"]  # no form: refused by its form key
                     text = ".".join(map(str, path)) or "root"
                     out.append(pytest.param(base, fname, mutated, named, benign,
                                             id=f"{base}-{fname}-{text}-{label}"))
