@@ -438,33 +438,35 @@ def _mcmc_moves(caps: np.ndarray, bottom_tables: np.ndarray, upper_tables: np.nd
 
 
 _WALK_SOURCE = """\
-def walk(x, moves, pairs, left, first_row, rows, thin, m, kept):
+def walk(x, moves, pairs, burn_in, rows, thin, m, kept):
     accepted = 0
-    for row in range(first_row, rows):
-        for k, lu in islice(pairs, left):
+    block = burn_in
+    for row in range(-1, rows):
+        for k, lu in islice(pairs, block):
             step, j, bd{unpack} = moves[k]
             if lu < bd[x[j]]{delta}:
                 x[j] += step{shift}
                 accepted += 1
         if row >= 0:
             kept += x[:m]
-        left = thin
+        block = thin
     return accepted
 """
 
 
 @cache
 def _walker(arity: int):
-    """The rest of a chain's walk, for moves of `arity` uppers.
+    """A chain's whole walk, for moves of `arity` uppers.
 
-    `walk(x, moves, pairs, left, first_row, rows, thin, m, kept)` takes
-    `left` (move index, log-uniform) pairs from `pairs` to end the block of
-    row `first_row` (-1 for the burn-in), then `thin` pairs for each later
-    row below `rows`; after the block of each row from 0 on it appends the
-    bottoms `x[:m]` to the flat list `kept`. It scores each move at x by one
-    sum of its delta entries, the bottom's first and then the uppers' left
-    to right (the float order of adding them one by one), shifts x on
-    acceptance and returns the number of accepted moves. It is compiled on
+    `walk(x, moves, pairs, burn_in, rows, thin, m, kept)` takes `burn_in`
+    (move index, log-uniform) pairs from `pairs`, then `thin` pairs for each
+    of the `rows` kept draws; after the block of each kept draw it appends
+    the bottoms `x[:m]` to the flat list `kept`. It scores each move at x by
+    one sum of its delta entries, the bottom's first and then the uppers'
+    left to right (the float order of adding them one by one), shifts x on
+    acceptance and returns the number of accepted moves. The sum is the
+    log-target change where x has positive target mass, as every chain's
+    start has (_mcmc_start) and every accepted move keeps. It is compiled on
     first use, once per arity, from _WALK_SOURCE unrolled over the uppers.
     """
     terms = range(1, arity + 1)
@@ -477,59 +479,47 @@ def _walker(arity: int):
     return namespace["walk"]
 
 
-def _run_chain(child: np.random.SeedSequence, moves: list[tuple], full_tables: list[list],
-               caps: list[int], start: list[int], burn_in: int, thin: int,
-               n_samples: int) -> tuple[np.ndarray, int, bool]:
-    """Run one Metropolis-Hastings chain; returns (kept draws, accepted moves, reached).
+def _mcmc_start(h: Hierarchy, base: BaseForecastSet, caps: np.ndarray,
+                bottom_tables: np.ndarray, upper_tables: np.ndarray) -> list[int]:
+    """Every chain's start, laid out as _mcmc_moves states: the capped bottom
+    medians if they have positive target mass, else the first of their
+    neighbours in move order (b_1 - 1, b_1 + 1, b_2 - 1, ...) within 0 and
+    the caps that has. Raises SamplerStuck where none has."""
+    medians = np.minimum([pmf.median() for pmf in base.bottom], caps)
+    candidates = np.vstack([medians, medians + np.kron(np.eye(h.m, dtype=np.int64), [[-1], [1]])])
+    candidates = candidates[((candidates >= 0) & (candidates <= caps)).all(axis=1)]
+    log_target = (bottom_tables[np.arange(h.m), candidates].sum(axis=1)
+                  + upper_tables[np.arange(h.n_upper), candidates @ h.a_matrix.T].sum(axis=1))
+    found = np.flatnonzero(np.isfinite(log_target))
+    if not found.size:
+        raise SamplerStuck("the capped bottom medians and their neighbours all have zero "
+                           "target probability; no chain can start")
+    start = candidates[found[0]]
+    return start.tolist() + (h.a_matrix @ start).tolist() + [0, 0]  # + the zero, sink slots
+
+
+def _run_chain(child: np.random.SeedSequence, moves: list[tuple], start: list[int],
+               burn_in: int, thin: int, n_samples: int) -> tuple[np.ndarray, int]:
+    """Run one Metropolis-Hastings chain; returns (kept draws, accepted moves).
 
     The chain draws its coordinates, steps and log-uniforms from the
     generator of `child` in that order and turns each (coordinate, step)
-    into its move index. Its state is a plain list laid out as _mcmc_moves
-    states, starting at `start`. It walks `burn_in` moves, then `thin` moves
-    per kept draw, and keeps the bottoms after each such block in one flat
-    list, read as the (n_samples, m) draws at the end. Until it reaches a
-    state of positive target mass, a chain accepts an in-range proposal iff
-    the full target (`full_tables`, one log-pmf list per bottom and upper)
-    there is finite. From then on one call of the `_walker` of its moves'
-    arity walks the rest of the chain; the pad terms add 0.0, so every
-    accept decision is that of summing the column's own entries.
+    into its move index. From a copy of `start`, a state of positive target
+    mass laid out as _mcmc_moves states, one call of the `_walker` of its
+    moves' arity walks `burn_in` moves, then `thin` moves per kept draw, and
+    keeps the bottoms after each such block in one flat list, read as the
+    (n_samples, m) draws at the end; the pad terms add 0.0, so every accept
+    decision is that of summing the column's own entries.
     """
     rng = np.random.default_rng(child)
-    m = len(caps)
+    m = len(moves) // 2
     total_iters = burn_in + n_samples * thin
     coords = rng.integers(0, m, size=total_iters)
     move_index = (2 * coords + rng.integers(0, 2, size=total_iters)).tolist()
     log_u = np.log(rng.random(total_iters)).tolist()
-
-    def full_log_target(x: list) -> float:
-        return sum(table[v] for table, v in zip(full_tables, x))
-
-    x = list(start)
-    reached = math.isfinite(full_log_target(x))
-    accepted = 0
-    kept = []
-    pairs = zip(move_index, log_u)
-    for row in range(-1, n_samples):
-        left = thin if row >= 0 else burn_in
-        if not reached:
-            for k, lu in islice(pairs, left):
-                left -= 1
-                step, j = moves[k][:2]
-                if 0 <= x[j] + step <= caps[j]:
-                    prop = x.copy()
-                    for e in (j, *moves[k][5::3]):  # b_j and the shifted s1, ..., sL
-                        prop[e] += step
-                    if math.isfinite(full_log_target(prop)):
-                        x, reached = prop, True
-                        accepted += 1
-                        break  # the walk goes on with the rest of this block
-        if reached:
-            walk = _walker(len(moves[0]) // 3 - 1)
-            accepted += walk(x, moves, pairs, left, row, n_samples, thin, m, kept)
-            break
-        if row >= 0:
-            kept += x[:m]
-    return np.fromiter(kept, np.int64, n_samples * m).reshape(n_samples, m), accepted, reached
+    kept, walk = [], _walker(len(moves[0]) // 3 - 1)
+    accepted = walk(list(start), moves, zip(move_index, log_u), burn_in, n_samples, thin, m, kept)
+    return np.fromiter(kept, np.int64, n_samples * m).reshape(n_samples, m), accepted
 
 
 def _usable_cpus() -> int:
@@ -641,9 +631,11 @@ def reconcile_mcmc(
     upper node in column A[:, j], read from delta tables built once per
     call. The diagnostics' cap share is the share of kept draws in which
     some bottom sits at its cap while its pmf has mass beyond it, the rule
-    the pipeline's trim (`_trim`) applies to a grid's edge. Chains start at
-    the per-bottom medians, run `burn_in` discarded iterations (default: half
-    the sampling phase) and then keep every `thin`-th state until
+    the pipeline's trim (`_trim`) applies to a grid's edge. Every chain
+    starts at the capped per-bottom medians or, where their target mass is
+    zero, at their first neighbour in move order that has mass
+    (`_mcmc_start`); it runs `burn_in` discarded iterations (default: half
+    the sampling phase) and then keeps every `thin`-th state until
     `n_samples` draws per chain are collected. Each chain draws from its own
     generator spawned from `seed`, so its draws depend only on `seed` and
     its index, never on the number of worker processes. The tables and the
@@ -654,8 +646,9 @@ def reconcile_mcmc(
 
     Raises:
         ValueError: n_chains, n_samples or thin below 1, or burn_in below 0.
-        SamplerStuck: a chain never reached a state with positive target
-            probability.
+        SamplerStuck: neither the capped medians nor any of their
+            neighbours has positive target probability; raised before any
+            chain runs.
 
     Warns:
         ConvergenceWarning: split R-hat above 1.1 on some coordinate
@@ -676,20 +669,14 @@ def reconcile_mcmc(
         raise ValueError("burn_in must be >= 0")
     caps, bottom_tables, upper_tables = _mcmc_tables(h, base)
     moves = _mcmc_moves(caps, bottom_tables, upper_tables, h.a_matrix)
-    full_tables = bottom_tables.tolist() + upper_tables.tolist()
-    cap_list = caps.tolist()
-    start = [min(pmf.median(), cap) for pmf, cap in zip(base.bottom, cap_list)]
-    start += (h.a_matrix @ start).tolist() + [0, 0]  # the uppers, the zero and sink slots
+    start = _mcmc_start(h, base, caps, bottom_tables, upper_tables)
 
-    job = partial(_run_chain, moves=moves, full_tables=full_tables, caps=cap_list,
-                  start=start, burn_in=burn_in, thin=thin, n_samples=n_samples)
+    job = partial(_run_chain, moves=moves, start=start, burn_in=burn_in, thin=thin,
+                  n_samples=n_samples)
     children = np.random.SeedSequence(seed).spawn(n_chains)
-    chains, accepted, reached = zip(*_map_chains(job, children))
+    chains, accepted = zip(*_map_chains(job, children))
     kept = np.stack(chains)
     accepted = np.array(accepted, dtype=np.int64)
-    stuck = [c for c, ok in enumerate(reached) if not ok]
-    if stuck:
-        raise SamplerStuck(f"chains {stuck} never reached positive target probability")
 
     rhat = _split_rhat(kept)
     assessed = rhat[~np.isnan(rhat)]
@@ -700,7 +687,7 @@ def reconcile_mcmc(
             stacklevel=2,
         )
     # a bottom whose pmf ends at its cap is compared with -1, which no draw holds
-    cut_caps = [cap if pmf.pmf(cap + 1) > 0 else -1 for pmf, cap in zip(base.bottom, cap_list)]
+    cut_caps = [cap if pmf.pmf(cap + 1) > 0 else -1 for pmf, cap in zip(base.bottom, caps)]
     cap_share = float((kept == cut_caps).any(axis=-1).mean())
     if cap_share > EDGE_MASS_WARN:
         warnings.warn(

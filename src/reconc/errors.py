@@ -38,7 +38,7 @@ class IncompatibleEvidence(ReconcError):
 
 
 class SamplerStuck(ReconcError):
-    """A chain never reached a state with positive target probability."""
+    """No chain can start: the capped medians and their neighbours have zero target mass."""
 
 
 class UndefinedScale(ReconcError):

@@ -147,8 +147,22 @@ def _env_seed() -> int | None:
     return value
 
 
+def _read_json(path):
+    """A JSON input file, read as UTF-8 after any byte-order mark; an object that
+    repeats a key is refused by a ValueError naming the file and the key."""
+    def distinct(pairs: list) -> dict:
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"{path}: repeated key {key!r}")
+            seen.add(key)
+        return dict(pairs)
+
+    return json.loads(Path(path).read_text(encoding="utf-8-sig"), object_pairs_hook=distinct)
+
+
 def load_config(path) -> ExperimentConfig:
-    """Parse an experiment config JSON file, read as UTF-8 after any byte-order mark.
+    """Parse an experiment config JSON file, read by `_read_json`.
 
     The DEPRECATED_SCORING_KEYS are dropped, each with one DeprecationWarning;
     then the config is walked against CONFIG, which refuses by name each value
@@ -157,7 +171,7 @@ def load_config(path) -> ExperimentConfig:
     sampled draws (probCount_mcmc, truncated).
     """
     path = Path(path)
-    raw = json.loads(path.read_text(encoding="utf-8-sig"))
+    raw = _read_json(path)
     scoring = raw.get("scoring") if isinstance(raw, dict) else None
     if isinstance(scoring, dict):
         for key in DEPRECATED_SCORING_KEYS:
@@ -168,8 +182,7 @@ def load_config(path) -> ExperimentConfig:
     walk(CONFIG, raw, "config")
     section = raw["hierarchy"]
     if "a_matrix_file" in section:
-        h = Hierarchy.from_json((path.parent / section["a_matrix_file"])
-                                .read_text(encoding="utf-8-sig"))
+        h = Hierarchy.from_dict(_read_json(path.parent / section["a_matrix_file"]))
     else:
         h = build_temporal_hierarchy(section["bottom_period_count"], section["factors"])
     sampler = SamplerSettings(**raw.get("sampler", {}))
@@ -300,7 +313,7 @@ def read_forecasts(path) -> dict[str, dict[str, dict]]:
     object with neither a "dist" nor a "samples" key; otherwise it is one
     series' {label: entry} map, read as series "series".
     """
-    raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    raw = _read_json(path)
     if not isinstance(raw, dict) or not raw:
         raise ValueError("forecast file must be a non-empty JSON object")
     nested = all(isinstance(v, dict) and "dist" not in v and "samples" not in v

@@ -10,10 +10,17 @@ R-hat must equal those of `reconcile_mcmc`.
 import numpy as np
 
 from reconc.conditioning import _mcmc_tables, _split_rhat
+from reconc.errors import SamplerStuck
 
 
 def reference_mcmc(h, base, n_chains=4, n_samples=10_000, burn_in=None, seed=0, thin=10):
-    """Returns (draws, acceptance rates, split R-hat, reached per chain)."""
+    """Returns (draws, acceptance rates, split R-hat).
+
+    Every chain starts at the capped bottom medians if their target mass is
+    positive, else at the first of their neighbours b -+ e_j, taken for
+    j = 1, 2, ... with -1 before +1, that lies within 0 and the caps and has
+    positive mass; SamplerStuck is raised where none has.
+    """
     if burn_in is None:
         burn_in = (n_samples * thin) // 2
     caps, bottom_tables, upper_tables = _mcmc_tables(h, base)
@@ -26,11 +33,16 @@ def reference_mcmc(h, base, n_chains=4, n_samples=10_000, burn_in=None, seed=0, 
         return lp + upper_tables[upper_idx[None, :], u].sum(axis=1)
 
     total_iters = burn_in + n_samples * thin
-    start = np.array([min(pmf.median(), cap) for pmf, cap in zip(base.bottom, caps)],
-                     dtype=np.int64)
+    medians = np.array([min(pmf.median(), cap) for pmf, cap in zip(base.bottom, caps)],
+                       dtype=np.int64)
+    for start in [medians] + [medians + s * np.eye(h.m, dtype=np.int64)[j]
+                              for j in range(h.m) for s in (-1, 1)]:
+        if (start >= 0).all() and (start <= caps).all() and np.isfinite(log_target(start[None])):
+            break
+    else:
+        raise SamplerStuck("no start of positive target mass")
     state = np.tile(start, (n_chains, 1))
     lp = log_target(state)
-    reached = np.isfinite(lp)
 
     children = np.random.SeedSequence(seed).spawn(n_chains)
     coords = np.empty((n_chains, total_iters), dtype=np.int64)
@@ -54,13 +66,11 @@ def reference_mcmc(h, base, n_chains=4, n_samples=10_000, burn_in=None, seed=0, 
         prop = state.copy()
         prop[chain_rows, j] = np.where(inside, new, old)
         lp_new = np.where(inside, log_target(prop), -np.inf)
-        with np.errstate(invalid="ignore"):  # -inf minus -inf stays a rejection
-            accept = log_u[:, it] < lp_new - lp
+        accept = log_u[:, it] < lp_new - lp
         state[accept] = prop[accept]
         lp[accept] = lp_new[accept]
         accepted += accept
-        reached |= np.isfinite(lp)
         if it >= burn_in and (it - burn_in) % thin == thin - 1:
             kept[:, kept_count] = state
             kept_count += 1
-    return kept.reshape(-1, h.m), accepted / total_iters, _split_rhat(kept), reached
+    return kept.reshape(-1, h.m), accepted / total_iters, _split_rhat(kept)

@@ -325,9 +325,10 @@ RECONCILE_ERRORS = [  # (method, entries in place of the method's own, exit code
                          "b2": {"dist": "poisson", "lambda": 2e5}}, 1,
      "series 's1': product support has 4.11e+10 cells (cap 10000000); "
      "use reconcile_mcmc instead"),
-    # b1 + b2 = 30 only: one move from the start cannot get there
+    # b1 + b2 = 30 only: neither the medians (0, 0) nor a neighbour gets there
     ("probCount_mcmc", {"agg2_1": {"dist": "tabulated", "probs": [0.0] * 30 + [1.0]}}, 1,
-     "series 's1': chains [0, 1] never reached positive target probability"),
+     "series 's1': the capped bottom medians and their neighbours all have zero target "
+     "probability; no chain can start"),
     ("probCount_exact", {"b1": {"dist": "tabulated", "probs": [0.5, 0.4]}}, 2,
      "series 's1': node 'b1': probabilities must sum to 1 within 1e-12, got 0.9"),
 ]
@@ -345,6 +346,23 @@ def test_errors_while_reconciling_name_the_series(tmp_path, capsys, method, entr
                        sampler={"chains": 2, "draws": 1, "thin": 1, "burn_in": 0, "seed": 1})
     assert main(["reconcile", "--config", str(cfg), "--quiet"]) == code
     assert capsys.readouterr().err == f"error: {refusal}\n"
+
+
+@pytest.mark.filterwarnings("ignore::reconc.errors.ConvergenceWarning")  # short chains
+def test_sampled_marginals_hold_no_mass_where_the_evidence_has_none(tmp_path):
+    # the medians (1, 1) sum to 2, where agg2_1 has no mass; at no burn-in
+    # and thin 1 a chain's first state is a draw
+    bottom = {"dist": "tabulated", "probs": [0.1, 0.8, 0.1]}
+    (tmp_path / "fc.json").write_text(json.dumps({"s1": {
+        "b1": bottom, "b2": bottom, "agg2_1": {"dist": "tabulated",
+                                               "probs": [0.0, 0.0, 0.0, 0.6, 0.4]}}}))
+    cfg = write_config(tmp_path / "cfg.json", hierarchy=H2_CONFIG, method="probCount_mcmc",
+                       forecasts="fc.json", output_dir="out",
+                       sampler={"chains": 4, "draws": 200, "thin": 1, "burn_in": 0, "seed": 0})
+    assert main(["reconcile", "--config", str(cfg), "--quiet"]) == 0
+    summaries = json.loads((tmp_path / "out" / "summaries.json").read_text())
+    probs = summaries["s1"]["nodes"]["agg2_1"]["marginal"]["probs"]
+    assert probs[:3] == [0.0, 0.0, 0.0]
 
 
 OBS_ROWS = "".join(f"s1,{t},{t % 3}\n" for t in range(6))
@@ -477,6 +495,24 @@ def test_malformed_hierarchy_file_exit_code(tmp_path, capsys, h_file, refusal):
                        method="probCount_exact", forecasts="fc.json", output_dir="out")
     assert main(["reconcile", "--config", str(cfg), "--quiet"]) == 2
     assert capsys.readouterr().err == f"error: {refusal}\n"
+
+
+@pytest.mark.parametrize("name, first", [
+    ("cfg.json", '"method": "normal"'),
+    ("fc.json", '"b1": {"dist": "poisson", "lambda": 9.0}'),
+    ("h.json", '"A": [[1, 0]]'),
+], ids=["config", "forecasts", "hierarchy"])
+def test_json_inputs_refuse_a_repeated_key(tmp_path, capsys, name, first):
+    # `json` alone would keep the second value and reconcile with it
+    (tmp_path / "h.json").write_text(json.dumps({"A": [[1, 1]]}))
+    (tmp_path / "fc.json").write_text(json.dumps({"b1": POISSON, "b2": POISSON, "u1": POISSON}))
+    cfg = write_config(tmp_path / "cfg.json", hierarchy={"a_matrix_file": "h.json"},
+                       method="probCount_exact", forecasts="fc.json", output_dir="out")
+    path = tmp_path / name
+    path.write_text("{" + first + ", " + path.read_text()[1:])
+    assert main(["reconcile", "--config", str(cfg), "--quiet"]) == 2
+    key = first.split('"')[1]
+    assert capsys.readouterr().err == f"error: {path}: repeated key {key!r}\n"
 
 
 def test_json_inputs_with_a_byte_order_mark_read_as_without(tmp_path, capsys):

@@ -524,7 +524,7 @@ def test_incompatible_evidence_names_the_first_evidence_applied_without_mass():
     half = Tabulated(np.array([0.5, 0.5]))
     base = BaseForecastSet([half, half], [Tabulated(np.array([1.0])),
                                           Tabulated(np.array([0.0, 1.0]))])
-    # the grid applies row 1 at b1's axis, then row 0 once b2's axis exists
+    # _exact_pass applies row 1 where it closes, at b1, then row 0 where it closes, at b2
     with pytest.raises(IncompatibleEvidence, match="upper node 0 "):
         reconcile_exact(h, base)
     with pytest.raises(IncompatibleEvidence, match="upper node 1 "):
@@ -606,8 +606,8 @@ def test_pipeline_trims_like_trim_joint_of_the_full_grid(case):
     assert got.bottom_support.flags.c_contiguous and expected.bottom_support.flags.c_contiguous
     assert np.array_equal(got.bottom_support, expected.bottom_support)
     assert np.array_equal(got.probabilities, expected.probabilities)
-    # the pipeline sums the pruned and the edge mass per prefix cell: the same atoms in
-    # another order
+    # _exact_pass sums the pruned mass per dropped prefix and the edge mass per state:
+    # the same atoms in another order
     assert got.diagnostics.to_dict() == pytest.approx(
         expected.diagnostics.to_dict(), rel=len(full.probabilities) * np.finfo(float).eps, abs=0)
 
@@ -634,7 +634,8 @@ def test_pipeline_refuses_evidence_without_mass_on_reachable_sums():
 
 
 def test_pipeline_names_the_first_evidence_applied_without_mass():
-    # the twin of the reconcile_exact test: row 0 closes at the last bottom, in its table
+    # the twin of the reconcile_exact test: in _exact_pass row 0 closes at the last bottom,
+    # after row 1 closed at b1
     a = np.array([[1, 1], [1, 0]])
     h = Hierarchy(a, ("agg_b1_b2", "agg_b1", "b1", "b2"))
     half = Tabulated(np.array([0.5, 0.5]))
