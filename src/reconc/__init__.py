@@ -12,6 +12,7 @@ from .conditioning import (
     bottom_up_exact,
     condition_on_upper,
     correlation,
+    exact_marginals,
     reconcile_exact,
     reconcile_mcmc,
     summarize,
@@ -71,6 +72,7 @@ __all__ = [
     "condition_on_upper",
     "correlation",
     "energy_score",
+    "exact_marginals",
     "fit_gaussian",
     "fit_negbinomial",
     "is_coherent",

@@ -38,10 +38,7 @@ DEFAULT_CELL_CAP = 10**7
 #: per-bottom tail mass ignored by the MCMC lookup tables
 _MCMC_TAIL = 1e-15
 
-#: total probability that the pipeline's trim (`_trim`) may drop from an exact joint
-ATOM_TOL = 1e-12
-
-#: edge mass above which `_trim` warns that the grid cuts posterior mass
+#: edge mass above which `exact_marginals` warns that the grid cuts posterior mass
 EDGE_MASS_WARN = 1e-6
 
 
@@ -82,11 +79,11 @@ class SamplerDiagnostics:
 
 
 @dataclass
-class TrimDiagnostics:
-    """Probability mass that `_trim` dropped, and mass at the grid's edge."""
+class ExactDiagnostics:
+    """Mass at the edge of an exact grid, and the most forward states after any bottom."""
 
-    dropped_mass: float
     edge_mass: float
+    peak_states: int
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -96,15 +93,15 @@ class TrimDiagnostics:
 class CountJoint:
     """Coherent joint pmf over bottom count vectors, held as weighted atoms.
 
-    Exact enumeration stores distinct atoms with their probabilities (the
-    full grid, or after `_trim` only the atoms that carry mass); a
-    sampler stores its draws in draw order (chains concatenated), each an
-    atom of weight 1/N. Upper values are implied by A @ b.
+    Exact enumeration stores every cell of its grid as an atom with its
+    probability, zeros included; a sampler stores its draws in draw order
+    (chains concatenated), each an atom of weight 1/N. Upper values are
+    implied by A @ b.
     """
 
     bottom_support: np.ndarray  # (n_atoms, m) non-negative ints
     probabilities: np.ndarray  # (n_atoms,) summing to 1
-    diagnostics: SamplerDiagnostics | TrimDiagnostics | None = None
+    diagnostics: SamplerDiagnostics | None = None
 
     @classmethod
     def from_draws(cls, draws: np.ndarray,
@@ -126,34 +123,31 @@ class CountJoint:
         return self.bottom_support[idx]
 
 
-def _exact_pass(h: Hierarchy, base: BaseForecastSet, epsilon: float, cell_cap: int,
-                upper: list[CountPmf | None], tol: float = 0.0):
-    """Atoms of the bottom-up joint conditioned on `upper`, by one forward/backward pass.
+def _forward(h: Hierarchy, base: BaseForecastSet, epsilon: float, cell_cap: int,
+             upper: list[CountPmf | None], track_absent: bool = False):
+    """Forward tables of the bottom-up joint conditioned on `upper`, bottom by bottom.
 
     Each bottom pmf is cut at its 1-epsilon quantile, giving a grid of
     `cells` cells, C order. The state after bottom k is the vector of the
-    partial sums of the present evidences' A rows that are open (begun, not
-    ended). Step k multiplies a prefix's weight by `f_k(b_k)`, then by the
-    product, in A-row order, of the present evidences whose rows end at k,
-    each at its row's sum, and of a power of two near the inverse total (it
-    is exact, so it cancels in the normalizer): the forward pass sums these
-    weights per (state, b_k), and each next state's mass is the pairwise
-    sum of the masses that reach it, as is its edge mass, that of prefixes
-    where some bottom sits at its top cell while its pmf goes on beyond it.
-    The backward pass gives each state the mass of all its completions.
-    Prefixes are then expanded bottom by bottom, in C order, step by step
-    as above; only those whose weight times backward mass is at least the
-    floor `tol / cells` are kept, and their atoms are their weights over
-    the forward total. With tol 0 every atom is kept, zeros included. The
-    atoms of a dropped prefix are lighter than the floor, up to rounding;
-    their mass is summed directly. SupportTooLarge is raised before any
-    array is allocated.
+    partial sums of the tracked A rows that are open (begun, not ended): the
+    rows of the present evidences and, with `track_absent`, every other row,
+    whose factor is 1. Step k multiplies a prefix's weight by `f_k(b_k)`,
+    then by the product, in A-row order, of the present evidences whose rows
+    end at k, each at its row's sum, and of a power of two near the inverse
+    total (it is exact, so it cancels in the normalizer): the forward mass
+    alpha sums these weights per (state, b_k), and each next state's mass is
+    the pairwise sum of the masses that reach it, as is its edge mass, that
+    of prefixes where some bottom sits at its top cell while its pmf goes on
+    beyond it. SupportTooLarge is raised before any array is allocated.
     IncompatibleEvidence names the first evidence, in order of application,
     after which no mass is left: later factors have positive sums, so a
     partial product holds none exactly when the full one would.
 
-    Returns the support of the kept atoms (C order; a full grid
-    column-major), their probabilities, the mass left out and the edge mass.
+    Returns the grid sizes, one step `(alpha, f, factor, to, closed)` per
+    bottom k, and the total and edge mass (both scaled as alpha). In a
+    step, alpha holds the masses of the states before k, and `factor`, `to`
+    (the next state) and each entry of `closed` (row i -> the sum of each
+    tracked row i that ends at k) are (states, b_k) arrays.
     """
     base.validate(h)
     sizes = [pmf.quantile_truncate(epsilon) + 1 for pmf in base.bottom]
@@ -165,8 +159,8 @@ def _exact_pass(h: Hierarchy, base: BaseForecastSet, epsilon: float, cell_cap: i
         )
     a, tops = h.a_matrix, np.array(sizes) - 1
     last = h.m - 1 - np.argmax(a[:, ::-1], axis=1)
-    evidence = {i: pmf.pmf(np.arange(a[i] @ tops + 1)) for i, pmf in enumerate(upper)
-                if pmf is not None}
+    evidence = {i: None if pmf is None else pmf.pmf(np.arange(a[i] @ tops + 1))
+                for i, pmf in enumerate(upper) if pmf is not None or track_absent}
     open_sums, alpha, edge, steps = {}, np.ones(1), np.zeros(1), []
     for k, (pmf, size) in enumerate(zip(base.bottom, sizes)):
         b = np.arange(size)
@@ -174,9 +168,10 @@ def _exact_pass(h: Hierarchy, base: BaseForecastSet, epsilon: float, cell_cap: i
         factor = np.ones((len(alpha), size))  # (states, b_k): the evidences closed at k
         sums = {i: np.add.outer(open_sums.get(i, np.zeros(len(alpha), np.int64)), a[i, k] * b)
                 for i in evidence if i in open_sums or a[i, k]}
-        for i in sums:
-            if last[i] == k:
-                factor = factor * evidence[i][sums[i]]
+        closed = {i: s for i, s in sums.items() if last[i] == k}
+        for i, s in closed.items():
+            if evidence[i] is not None:
+                factor = factor * evidence[i][s]
                 if not alpha @ factor @ f > 0:
                     raise IncompatibleEvidence(
                         f"evidence for upper node {i} has no mass on reachable sums")
@@ -194,33 +189,32 @@ def _exact_pass(h: Hierarchy, base: BaseForecastSet, epsilon: float, cell_cap: i
         to, starts = np.empty_like(order), np.flatnonzero(new)
         to[order] = np.cumsum(new) - 1
         open_sums = {i: s.reshape(-1)[order[starts]] for i, s in sums.items() if last[i] > k}
+        steps.append((alpha, f, factor, to.reshape(factor.shape), closed))
         at_top = (b == size - 1) & (pmf.pmf(size) > 0)
         edge = np.where(at_top, alpha[:, None], edge[:, None]) * f * factor
         alpha = alpha[:, None] * f * factor
         edge, alpha = (np.add.reduceat(x.reshape(-1)[order], starts)  # pairwise, per state
                        for x in (edge, alpha))
-        steps.append((f, factor, to.reshape(factor.shape)))
-    total = alpha[0]
-    completions = [np.ones(1)]
-    for f, factor, to in steps[:0:-1]:
-        completions.insert(0, (f * factor * completions[0][to]).sum(axis=1))
-    floor = tol / cells * total
-    weight, state, flat, left_out = np.ones(1), np.zeros(1, np.int64), np.zeros(1, np.int64), 0.0
-    for (f, factor, to), size, after in zip(steps, sizes, completions):
+    return sizes, steps, alpha[0], edge[0]
+
+
+def _exact_pass(h: Hierarchy, base: BaseForecastSet, epsilon: float, cell_cap: int,
+                upper: list[CountPmf | None]) -> CountJoint:
+    """The bottom-up joint conditioned on `upper`, every cell of the grid an atom.
+
+    Prefixes are expanded bottom by bottom from the `_forward` tables, in C
+    order, step by step as there; the atoms are their weights over the
+    forward total, zeros included. The support is a column-major view of
+    the C-order index grid: a full grid stored as an .npz (the demos,
+    deflated at level 1) then deflates column by column, which is fast.
+    """
+    sizes, steps, total, _ = _forward(h, base, epsilon, cell_cap, upper)
+    weight, state = np.ones(1), np.zeros(1, np.int64)
+    for _, f, factor, to, _ in steps:
         weight = (weight[:, None] * f * factor[state]).reshape(-1)
         state = to[state].reshape(-1)
-        if tol:
-            flat = np.add.outer(flat * size, np.arange(size)).reshape(-1)
-            mass = weight * after[state]
-            keep = mass >= floor
-            left_out += mass[~keep].sum()
-            weight, state, flat = weight[keep], state[keep], flat[keep]
-    if tol:
-        support = np.stack(np.unravel_index(flat, sizes), axis=1)
-    else:  # column-major view of the C-order index grid; a full grid stored as an .npz
-        # (the demos, deflated at level 1) then deflates column by column, which is fast
-        support = np.indices(sizes, dtype=np.int64).reshape(len(sizes), -1).T
-    return support, weight / total, float(left_out / total), float(edge[0] / total)
+    support = np.indices(sizes, dtype=np.int64).reshape(len(sizes), -1).T
+    return CountJoint(support, weight / total)
 
 
 def bottom_up_exact(
@@ -239,8 +233,7 @@ def bottom_up_exact(
     Raises:
         SupportTooLarge: the grid would exceed cell_cap cells.
     """
-    support, p, _, _ = _exact_pass(h, base, epsilon, cell_cap, [None] * h.n_upper)
-    return CountJoint(support, p)
+    return _exact_pass(h, base, epsilon, cell_cap, [None] * h.n_upper)
 
 
 def condition_on_upper(
@@ -282,71 +275,59 @@ def reconcile_exact(
     grid stays an atom, so this is the oracle the samplers are tested
     against. The probabilities agree within 4 * (m + n_upper) ulps relative,
     with the same zeros, with condition_on_upper applied to bottom_up_exact
-    for each evidence in A-row order (see _exact_pass for the order used).
+    for each evidence in A-row order (see _forward for the order used).
 
     Raises:
         SupportTooLarge: the grid would exceed cell_cap cells.
         IncompatibleEvidence: the evidences leave no mass on the grid; the
             message names the first, in order of application, that did.
     """
-    support, p, _, _ = _exact_pass(h, base, epsilon, cell_cap, base.upper)
-    return CountJoint(support, p)
+    return _exact_pass(h, base, epsilon, cell_cap, base.upper)
 
 
-def _tie_margin(m: int) -> float:
-    """1 - 8 * m ulps: the factor by which `_trim` lowers tau for atoms over m bottoms."""
-    return 1 - 8 * m * np.finfo(float).eps
+def exact_marginals(h: Hierarchy,
+                    base: BaseForecastSet) -> tuple[dict[str, Tabulated], ExactDiagnostics]:
+    """Every node's marginal under reconcile_exact(h, base), with no atom expanded.
 
+    One backward pass over the `_forward` tables, which here track every A
+    row, gives each state the mass beta of all its completions. The mass of
+    (state, b_k) at step k is then alpha(state) * f_k(b_k) * factor *
+    beta(next state): bottom k's marginal sums it over the states, and the
+    marginal of an upper node is its bincount over the node's row sum at
+    the bottom where the row closes. Each node's weights are normalized by
+    their own sum, so the node pmfs agree with summarize(reconcile_exact(h,
+    base), h) up to rounding; the one error is the grid's cut at each
+    bottom's 1-DEFAULT_EPSILON quantile, stated as the edge mass. Returns
+    the pmfs keyed by node label, in node order, and the edge mass and the
+    most forward states after any bottom.
 
-def _trim(p: np.ndarray, edge_mass: float, m: int,
-          offset: float = 0.0) -> tuple[np.ndarray, np.ndarray, TrimDiagnostics]:
-    """Keep the atoms that carry mass, given atom probabilities and their edge mass.
+    Raises:
+        SupportTooLarge: the grid would exceed DEFAULT_CELL_CAP cells.
+        IncompatibleEvidence: as reconcile_exact.
 
-    Tau is the lightest atom whose ascending running total passes ATOM_TOL,
-    and the kept atoms are those at least `tau * _tie_margin(m)`, for atoms
-    over m bottoms: atoms equal in exact arithmetic but multiplied in
-    another order differ by a few ulps, so the margin keeps or drops such a
-    class whole, whatever the order of the products. 8 * m ulps is the
-    4 * (m + n_upper) ulp bound between two product orders at n_upper = m:
-    the trim sees the atoms and m, not the hierarchy. Zero-mass atoms always
-    go, every dropped atom is lighter than every kept one, and the dropped
-    mass stays within ATOM_TOL. The running total starts at `offset`, the
-    mass of atoms left out of `p` as lighter than the lowered tau. Returns
-    the ascending flat indices of the kept atoms, their renormalized
-    probabilities and the diagnostics, and warns (TruncationWarning) on an
-    edge mass above EDGE_MASS_WARN.
+    Warns:
+        TruncationWarning: edge mass above EDGE_MASS_WARN.
     """
+    _, steps, total, edge = _forward(h, base, DEFAULT_EPSILON, DEFAULT_CELL_CAP, base.upper,
+                                     track_absent=True)
+    edge_mass = float(edge / total)
     if edge_mass > EDGE_MASS_WARN:
         warnings.warn(
             f"exact joint holds {edge_mass:.3g} of its mass at the top cell of a truncated "
             f"bottom grid (warning above {EDGE_MASS_WARN:g}); the grid cuts posterior mass",
             TruncationWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
-    ascending = np.sort(p)
-    running = np.cumsum(np.concatenate(([offset], ascending)))  # offset + the k lightest
-    tau = ascending[np.searchsorted(running[1:], ATOM_TOL, side="right")]
-    kept_at = np.flatnonzero(p >= tau * _tie_margin(m))
-    kept = p[kept_at]
-    dropped_mass = float(running[len(p) - len(kept_at)])
-    return kept_at, kept / kept.sum(), TrimDiagnostics(dropped_mass, edge_mass)
-
-
-def _reconcile_exact_trimmed(h: Hierarchy, base: BaseForecastSet) -> CountJoint:
-    """reconcile_exact(h, base) with only the atoms that `_trim` keeps, in grid order.
-
-    The pass expands only the prefixes of mass at least the floor
-    `ATOM_TOL / (2 * cells) * _tie_margin(m)`. The atoms lighter than
-    ATOM_TOL / (2 * cells), at most `cells` of them, hold less than
-    ATOM_TOL / 2, so the running total passes ATOM_TOL at a tau no lighter
-    than that, and the lowered tau is no lighter than the floor: the trim
-    drops every atom under it. Their mass, summed directly per pruned
-    prefix, starts its running total.
-    """
-    support, p, left_out, edge_mass = _exact_pass(
-        h, base, DEFAULT_EPSILON, DEFAULT_CELL_CAP, base.upper, ATOM_TOL / 2 * _tie_margin(h.m))
-    kept_at, kept, diagnostics = _trim(p, edge_mass, h.m, left_out)
-    return CountJoint(support[kept_at], kept, diagnostics)
+    weights, beta = {}, np.ones(1)
+    for k, (alpha, f, factor, to, closed) in reversed(list(enumerate(steps))):
+        mass = f * factor * beta[to]
+        beta = mass.sum(axis=1)
+        mass *= alpha[:, None]
+        weights[h.bottom_labels[k]] = mass.sum(axis=0)
+        for i, sums in closed.items():
+            weights[h.upper_labels[i]] = np.bincount(sums.reshape(-1), weights=mass.reshape(-1))
+    marginals = {label: Tabulated.from_weights(weights[label]) for label in h.node_labels}
+    return marginals, ExactDiagnostics(edge_mass, max(len(step[0]) for step in steps))
 
 
 def _mcmc_tables(h: Hierarchy, base: BaseForecastSet):
@@ -631,16 +612,16 @@ def reconcile_mcmc(
     upper node in column A[:, j], read from delta tables built once per
     call. The diagnostics' cap share is the share of kept draws in which
     some bottom sits at its cap while its pmf has mass beyond it, the rule
-    the pipeline's trim (`_trim`) applies to a grid's edge. Every chain
-    starts at the capped per-bottom medians or, where their target mass is
-    zero, at their first neighbour in move order that has mass
-    (`_mcmc_start`); it runs `burn_in` discarded iterations (default: half
-    the sampling phase) and then keeps every `thin`-th state until
-    `n_samples` draws per chain are collected. Each chain draws from its own
-    generator spawned from `seed`, so its draws depend only on `seed` and
-    its index, never on the number of worker processes. The tables and the
-    start are built once here; the chains then run on the fork pool this
-    process keeps (`_kept_pool`), with `min(n_chains, usable CPUs)` workers.
+    exact_marginals applies to a grid's edge. Every chain starts at the
+    capped per-bottom medians or, where their target mass is zero, at their
+    first neighbour in move order that has mass (`_mcmc_start`); it runs
+    `burn_in` discarded iterations (default: half the sampling phase) and
+    then keeps every `thin`-th state until `n_samples` draws per chain are
+    collected. Each chain draws from its own generator spawned from `seed`,
+    so its draws depend only on `seed` and its index, never on the number
+    of worker processes. The tables and the start are built once here; the
+    chains then run on the fork pool this process keeps (`_kept_pool`),
+    with `min(n_chains, usable CPUs)` workers.
     They run in this process instead with 1 usable CPU, 1 chain, no "fork"
     start method, from a daemonic process, or where the pool lost a worker.
 

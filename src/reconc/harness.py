@@ -44,7 +44,7 @@ from .errors import (
     UndefinedSkill,
 )
 from .hierarchy import Hierarchy, aggregate, build_temporal_hierarchy
-from .schema import COUNT, INT, NUMBER, STRING, Array, Forms, Object, Range, Row, walk
+from .schema import COUNT, INT, NUMBER, STRING, Array, Forms, Object, Range, Row, loads, walk
 from .scoring import ScoreReport
 
 #: spec of the built-in demo forecaster: one Poisson per node, rate equal to
@@ -148,17 +148,9 @@ def _env_seed() -> int | None:
 
 
 def _read_json(path):
-    """A JSON input file, read as UTF-8 after any byte-order mark; an object that
-    repeats a key is refused by a ValueError naming the file and the key."""
-    def distinct(pairs: list) -> dict:
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise ValueError(f"{path}: repeated key {key!r}")
-            seen.add(key)
-        return dict(pairs)
-
-    return json.loads(Path(path).read_text(encoding="utf-8-sig"), object_pairs_hook=distinct)
+    """A JSON input file, read as UTF-8 after any byte-order mark by `schema.loads`,
+    which refuses a repeated key naming the file."""
+    return loads(Path(path).read_text(encoding="utf-8-sig"), path)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -434,8 +426,10 @@ def _count_summaries(joint: CountJoint, h: Hierarchy, alpha: float):
 
 
 def _reconcile_exact(h, entries, sampler, alpha, seed):
-    joint = conditioning._reconcile_exact_trimmed(h, _count_forecast_set(h, entries))
-    return _count_summaries(joint, h, alpha)
+    """Summaries of the exact node marginals; the artifact is their diagnostics."""
+    marginals, diagnostics = conditioning.exact_marginals(h, _count_forecast_set(h, entries))
+    return ({label: MarginalSummary.of(label, pmf, alpha).to_dict()
+             for label, pmf in marginals.items()}, diagnostics.to_dict())
 
 
 def _reconcile_mcmc(h, entries, sampler, alpha, seed):
@@ -488,7 +482,7 @@ class Method(NamedTuple):
 
 #: every method by name; one that stores draws samples them, so it needs a seed
 METHODS = {
-    "probCount_exact": Method(_reconcile_exact, _store_npz),
+    "probCount_exact": Method(_reconcile_exact, _store_nothing),
     "probCount_mcmc": Method(_reconcile_mcmc, _store_draws),
     "normal": Method(partial(_reconcile_mint, spec=mint.HierarchyVariance), _store_npz),
     "structural_scaling": Method(partial(_reconcile_mint, spec=mint.StructuralScaling),
@@ -747,10 +741,10 @@ def _print_checks(checks: list, quiet: bool):
 
 def _write_demo_record(out_dir: Path, h: Hierarchy, joint: CountJoint,
                        summaries: dict[str, MarginalSummary]):
-    """Store an exact joint as series "series" of a probCount_exact output dir."""
+    """Store an exact joint's full grid as series "series" of a probCount_exact output dir."""
     record = {"method": "probCount_exact", "alpha": 0.1,
               "nodes": {k: s.to_dict() for k, s in summaries.items()},
-              **_write_artifact(out_dir, h, "series", joint, METHODS["probCount_exact"].store)}
+              **_store_npz(out_dir, h, "series", joint)}
     (out_dir / "summaries.json").write_text(
         json.dumps({"series": record}, indent=1, sort_keys=True))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DuplicateLevel, InvalidAggregation
-from .schema import COUNT, INT, STRING, Array, Object, Range, Row, walk
+from .schema import COUNT, INT, STRING, Array, Object, Range, Row, loads, walk
 
 #: a hierarchy file; labels default to `default_labels(A)`, m to A's width
 HIERARCHY_FILE = Object(
@@ -131,7 +131,8 @@ class Hierarchy:
 
     @classmethod
     def from_json(cls, s: str) -> "Hierarchy":
-        return cls.from_dict(json.loads(s))
+        """`from_dict` of JSON text; an object that repeats a key is refused (ValueError)."""
+        return cls.from_dict(loads(s, "hierarchy JSON"))
 
 
 def default_labels(a: np.ndarray) -> list[str]:

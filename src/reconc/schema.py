@@ -1,12 +1,29 @@
-"""One declarative table per JSON input format, and the one walker that checks them.
+"""One declarative table per JSON input format, the one walker that checks them,
+and the one parser that reads them.
 
 A table is an `Object` of `Row`s. `walk` refuses the first value its table
-does not allow by a ValueError that names the value's path.
+does not allow by a ValueError that names the value's path. `loads` parses
+JSON text and refuses an object that repeats a key.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Any, Callable, NamedTuple
+
+
+def loads(text: str, source) -> Any:
+    """Parse JSON text; an object that repeats a key is refused by a ValueError
+    naming `source` and the key."""
+    def distinct(pairs: list) -> dict:
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"{source}: repeated key {key!r}")
+            seen.add(key)
+        return dict(pairs)
+
+    return json.loads(text, object_pairs_hook=distinct)
 
 
 class Range(NamedTuple):

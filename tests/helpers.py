@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from reconc import harness, mint, schema
-from reconc.conditioning import BaseForecastSet, CountJoint, SamplerDiagnostics, TrimDiagnostics
+from reconc.conditioning import BaseForecastSet, CountJoint, SamplerDiagnostics
 from reconc.distributions import Poisson
 from reconc.hierarchy import build_temporal_hierarchy
 
@@ -106,8 +106,7 @@ def read_artifact(record: dict, method_dir: Path):
     with np.load(method_dir / record["joint_file"]) as arrays:
         if record["method"] != "probCount_exact":
             return mint.GaussianReconciled(**arrays)
-        return CountJoint(arrays["bottom_support"].astype(np.int64), arrays["probabilities"],
-                          TrimDiagnostics(**diagnostics) if diagnostics is not None else None)
+        return CountJoint(arrays["bottom_support"].astype(np.int64), arrays["probabilities"])
 
 
 def key_paths(table, prefix: str = "") -> dict[str, "schema.Row"]:

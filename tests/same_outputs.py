@@ -2,7 +2,8 @@
 
     PYTHONPATH=src python tests/same_outputs.py write OUT_DIR
     python tests/same_outputs.py compare OLD_DIR NEW_DIR \\
-        [--tol PATTERN=VALUE ...] [--allow-added PATTERN ...] [--allow-dtype PATTERN ...]
+        [--tol PATTERN=VALUE ...] [--allow-added PATTERN ...] [--allow-removed PATTERN ...] \\
+        [--allow-dtype PATTERN ...]
 
 `write` runs every method of `harness.METHODS` with the builtin forecaster
 on the synthetic observations of `helpers.write_synthetic_observations`,
@@ -27,7 +28,8 @@ carries its text values in brackets the same way. A numeric difference passes on
 under `--tol PATTERN=VALUE`, PATTERN a glob on the field name, and only if
 it is at most VALUE x max(1, |old|, |new|). There, numeric lists of unequal length are zero-padded, as a pmf whose
 tail was trimmed. Fields and files that only the new tree has pass only
-under `--allow-added PATTERN`.
+under `--allow-added PATTERN`, and those that only the old tree has only
+under `--allow-removed PATTERN`.
 """
 
 from __future__ import annotations
@@ -92,12 +94,14 @@ def _parse_number(text: str):
 
 class Comparison:
     def __init__(self, tolerances: dict[str, float], allow_added: list[str],
-                 allow_dtype: list[str] = ()):
+                 allow_dtype: list[str] = (), allow_removed: list[str] = ()):
         self.tolerances = tolerances
         self.allow_added = allow_added
+        self.allow_removed = allow_removed
         self.allow_dtype = allow_dtype
         self.failures: list[str] = []
         self.added: list[str] = []
+        self.removed: list[str] = []
         self.dtype_changes: list[str] = []
         self.tolerated: dict[str, list] = {}  # pattern -> [fields, largest difference]
 
@@ -125,12 +129,18 @@ class Comparison:
         else:
             self.failures.append(f"{key}: only in the new tree")
 
+    def old_only(self, key: str):
+        if any(fnmatch(key, pattern) for pattern in self.allow_removed):
+            self.removed.append(key)
+        else:
+            self.failures.append(f"{key}: only in the old tree")
+
     def values(self, key: str, a, b):
         if isinstance(a, dict) and isinstance(b, dict):
             for k in sorted(set(a) | set(b)):
                 sub = f"{key}/{k}"
                 if k not in b:
-                    self.failures.append(f"{sub}: only in the old tree")
+                    self.old_only(sub)
                 elif k not in a:
                     self.new_only(sub)
                 else:
@@ -243,7 +253,7 @@ def compare_trees(old: Path, new: Path, comparison: Comparison) -> tuple[int, in
     old_files = {p.relative_to(old).as_posix() for p in old.rglob("*") if p.is_file()}
     new_files = {p.relative_to(new).as_posix() for p in new.rglob("*") if p.is_file()}
     for rel in sorted(old_files - new_files):
-        comparison.failures.append(f"{rel}: only in the old tree")
+        comparison.old_only(rel)
     for rel in sorted(new_files - old_files):
         comparison.new_only(rel)
     both = sorted(old_files & new_files)
@@ -269,6 +279,8 @@ def main(argv=None) -> int:
                        metavar="PATTERN=VALUE", help="tolerance on matching numeric fields")
     p_cmp.add_argument("--allow-added", action="append", default=[], metavar="PATTERN",
                        help="fields or files that only the new tree may have")
+    p_cmp.add_argument("--allow-removed", action="append", default=[], metavar="PATTERN",
+                       help="fields or files that only the old tree may have")
     p_cmp.add_argument("--allow-dtype", action="append", default=[], metavar="PATTERN",
                        help="`.npz` arrays (<file>:<array>) whose dtype may differ")
     args = parser.parse_args(argv)
@@ -278,7 +290,8 @@ def main(argv=None) -> int:
             parser.error(f"{args.out} exists")
         write_tree(args.out)
         return 0
-    comparison = Comparison(dict(args.tol), args.allow_added, args.allow_dtype)
+    comparison = Comparison(dict(args.tol), args.allow_added, args.allow_dtype,
+                            args.allow_removed)
     n_files, n_equal = compare_trees(args.old, args.new, comparison)
     print(f"{n_files} files in both trees, {n_equal} byte-equal")
     for pattern, (count, largest) in comparison.tolerated.items():
@@ -288,6 +301,9 @@ def main(argv=None) -> int:
               f"e.g. {comparison.dtype_changes[0]}")
     if comparison.added:
         print(f"only in the new tree (allowed): {len(comparison.added)}, e.g. {comparison.added[0]}")
+    if comparison.removed:
+        print(f"only in the old tree (allowed): {len(comparison.removed)}, "
+              f"e.g. {comparison.removed[0]}")
     for line in comparison.failures:
         print(f"DIFFERS {line}")
     print("same outputs" if not comparison.failures

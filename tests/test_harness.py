@@ -307,7 +307,9 @@ def test_reconcile_outputs_from_forecast_file(tmp_path):
     nodes = summaries["series"]["nodes"]
     assert set(nodes) == {"agg2_1", "b1", "b2"}
     assert nodes["b1"]["mean"] == pytest.approx(2.3646303986, abs=1e-6)
-    assert (out / summaries["series"]["joint_file"]).exists()
+    # the node marginals come from the forward/backward tables; no joint is stored
+    assert not list(out.glob("joint_*.npz"))
+    assert set(summaries["series"]["diagnostics"]) == {"edge_mass", "peak_states"}
 
 
 def test_reconcile_skips_missing_upper_evidence(tmp_path):
@@ -391,12 +393,12 @@ def test_written_artifacts_read_back_to_the_same_joint(tmp_path):
         _, joint = harness.reconcile_series(cfg.hierarchy, method, forecasts, cfg.sampler,
                                             cfg.scoring.alpha, cfg.sampler.seed)
         back = read_artifact(record, out)
-        if method == "base":  # no joint: the artifact is the record's diagnostics
+        if method in ("probCount_exact", "base"):  # no joint: the artifact is the diagnostics
             assert back is None
             assert record["diagnostics"] == joint
             continue
         assert_same_fields(back, joint)
-        if method in ("probCount_exact", "normal"):
+        if method == "normal":
             assert record["joint_file"] == "joint_series.npz"
             with np.load(out / record["joint_file"], allow_pickle=False) as arrays:
                 assert sorted(arrays.files) == sorted(
@@ -447,46 +449,44 @@ def test_sampler_record_without_cap_share_reads_back_as_nan():
     assert np.isnan(sampler_diagnostics_from_dict(record).cap_share)
 
 
-def check_exact_record(tmp_path, rates, stored):
-    """Reconcile Poisson forecasts (b1, b2, agg2_1 rates) exactly and check the stored joint."""
+def test_exact_record_stores_the_marginals_and_no_joint(tmp_path):
     h_cfg = {"bottom_period_count": 2, "factors": [2]}
     forecasts = {label: {"dist": "poisson", "lambda": rate}
-                 for label, rate in zip(("b1", "b2", "agg2_1"), rates)}
+                 for label, rate in zip(("b1", "b2", "agg2_1"), (2, 4, 9))}
     (tmp_path / "fc.json").write_text(json.dumps(forecasts))
     cfg = harness.load_config(write_config(
         tmp_path / "cfg.json", hierarchy=h_cfg, method="probCount_exact",
         forecasts="fc.json", output_dir="out"))
     out = harness.run_reconcile(cfg, quiet=True)
     record = json.loads((out / "summaries.json").read_text())["series"]
-    assert set(record["diagnostics"]) == {"dropped_mass", "edge_mass"}
-    assert 0 < record["diagnostics"]["dropped_mass"] <= 1e-12
+    assert sorted(p.name for p in out.iterdir()) == ["summaries.json"]
+    assert "joint_file" not in record and read_artifact(record, out) is None
+    assert set(record["diagnostics"]) == {"edge_mass", "peak_states"}
     assert 0 < record["diagnostics"]["edge_mass"] < 1e-6
+    # after b1 the one row is open at each cell of b1's grid
+    assert record["diagnostics"]["peak_states"] == Poisson(2).quantile_truncate() + 1
 
-    base = harness._count_forecast_set(cfg.hierarchy, forecasts)
-    full = conditioning.reconcile_exact(cfg.hierarchy, base)
-    with np.load(out / record["joint_file"], allow_pickle=False) as arrays:
+    full = conditioning.reconcile_exact(cfg.hierarchy,
+                                        harness._count_forecast_set(cfg.hierarchy, forecasts))
+    for label, summary in conditioning.summarize(full, cfg.hierarchy).items():
+        np.testing.assert_allclose(record["nodes"][label]["marginal"]["probs"],
+                                   summary.pmf.probs, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("rates, stored", [((2, 4), np.uint8), ((300, 310), np.uint16)])
+def test_stored_exact_grid_reads_back_from_its_narrowest_dtype(tmp_path, rates, stored):
+    # the demos store their full grids: counts up to 21, or up to 421 for the large rates
+    h = build_temporal_hierarchy(2, [2])
+    joint = conditioning.bottom_up_exact(h, conditioning.BaseForecastSet(
+        [Poisson(rate) for rate in rates], [None]))
+    record = {"method": "probCount_exact", **harness._store_npz(tmp_path, h, "s", joint)}
+    with np.load(tmp_path / record["joint_file"], allow_pickle=False) as arrays:
         assert sorted(arrays.files) == ["bottom_support", "probabilities"]
-        support, probs = arrays["bottom_support"], arrays["probabilities"]
-    assert support.dtype == stored  # the narrowest unsigned dtype holding every count
-    assert 0 < len(probs) < len(full.probabilities)
-    assert probs.min() > 0 and probs.sum() == pytest.approx(1.0, abs=1e-15)
-    grid_index = {tuple(atom): i for i, atom in enumerate(full.bottom_support.tolist())}
-    kept = np.array([grid_index[tuple(atom)] for atom in support.tolist()])
-    assert (np.diff(kept) > 0).all()  # grid order
-    dropped = np.delete(full.probabilities, kept)
-    assert dropped.sum() == pytest.approx(record["diagnostics"]["dropped_mass"], rel=1e-9)
-    back = read_artifact(record, out)
+        assert arrays["bottom_support"].dtype == stored
+    back = read_artifact(record, tmp_path)
     assert back.bottom_support.dtype == np.int64
-    assert np.array_equal(back.bottom_support, support)
-    assert back.diagnostics.to_dict() == record["diagnostics"]
-
-
-def test_exact_record_keeps_only_atoms_with_mass(tmp_path):
-    check_exact_record(tmp_path, (2, 4, 9), np.uint8)  # largest kept count 21
-
-
-def test_exact_record_stores_counts_above_255_as_uint16(tmp_path):
-    check_exact_record(tmp_path, (300, 310, 640), np.uint16)  # largest kept count 421
+    assert np.array_equal(back.bottom_support, joint.bottom_support)
+    assert np.array_equal(back.probabilities, joint.probabilities)
 
 
 def _score_with_extra_series(tmp_path, sid, values, n_skipped):

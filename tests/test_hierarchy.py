@@ -163,6 +163,7 @@ def test_a_matrix_entries_are_checked_before_the_integer_cast():
     ('{"A": [[1, 1]], "B": 1}', "unknown hierarchy file key(s) ['B']"),
     ('{"labels": ["u1", "b1", "b1"], "A": [[1, 1]]}',
      "hierarchy file labels must be distinct, got ['u1', 'b1', 'b1']"),
+    ('{"A": [[1, 0]], "A": [[1, 1]]}', "hierarchy JSON: repeated key 'A'"),
 ])
 def test_hierarchy_file_refused_by_path(text, refusal):
     with pytest.raises(ValueError) as info:
