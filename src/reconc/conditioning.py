@@ -32,8 +32,15 @@ from .errors import (
 )
 from .hierarchy import Hierarchy
 
-#: largest number of enumerated cells before exact reconciliation refuses
-DEFAULT_CELL_CAP = 10**7
+#: most elements of any array the exact pass allocates: a step's (states, bottom values)
+#: tables, or the atoms of reconcile_exact's expanded grid
+DEFAULT_ARRAY_CAP = 10**7
+
+#: exact_marginals drops the forward states lighter than this share of their step's total
+PRUNE_ETA = 1e-18
+
+#: largest certified TV bound of the pruned pass that exact_marginals accepts
+PRUNE_BUDGET = 1e-12
 
 #: per-bottom tail mass ignored by the MCMC lookup tables
 _MCMC_TAIL = 1e-15
@@ -80,10 +87,12 @@ class SamplerDiagnostics:
 
 @dataclass
 class ExactDiagnostics:
-    """Mass at the edge of an exact grid, and the most forward states after any bottom."""
+    """Mass at the edge of an exact grid, the most forward states kept after any bottom,
+    and the certified TV bound of the states that pruning dropped (0 when none were)."""
 
     edge_mass: float
     peak_states: int
+    pruned_mass_bound: float
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -123,46 +132,63 @@ class CountJoint:
         return self.bottom_support[idx]
 
 
-def _forward(h: Hierarchy, base: BaseForecastSet, epsilon: float, cell_cap: int,
-             upper: list[CountPmf | None], track_absent: bool = False):
+def _capped(elements: int, cap: int, what: str):
+    """Refuse, before it is allocated, an array of more than `cap` elements."""
+    if elements > cap:
+        raise SupportTooLarge(f"{what} would hold {elements:.3g} elements (cap {cap}); "
+                              "use reconcile_mcmc instead")
+
+
+def _grid_sizes(h: Hierarchy, base: BaseForecastSet, epsilon: float) -> list[int]:
+    """Cells per bottom: each bottom pmf is cut at its 1-epsilon quantile."""
+    base.validate(h)
+    return [pmf.quantile_truncate(epsilon) + 1 for pmf in base.bottom]
+
+
+def _forward(h: Hierarchy, base: BaseForecastSet, sizes: list[int], array_cap: int,
+             upper: list[CountPmf | None], track_absent: bool = False, eta: float = 0.0):
     """Forward tables of the bottom-up joint conditioned on `upper`, bottom by bottom.
 
-    Each bottom pmf is cut at its 1-epsilon quantile, giving a grid of
-    `cells` cells, C order. The state after bottom k is the vector of the
-    partial sums of the tracked A rows that are open (begun, not ended): the
-    rows of the present evidences and, with `track_absent`, every other row,
-    whose factor is 1. Step k multiplies a prefix's weight by `f_k(b_k)`,
-    then by the product, in A-row order, of the present evidences whose rows
-    end at k, each at its row's sum, and of a power of two near the inverse
-    total (it is exact, so it cancels in the normalizer): the forward mass
-    alpha sums these weights per (state, b_k), and each next state's mass is
-    the pairwise sum of the masses that reach it, as is its edge mass, that
-    of prefixes where some bottom sits at its top cell while its pmf goes on
-    beyond it. SupportTooLarge is raised before any array is allocated.
-    IncompatibleEvidence names the first evidence, in order of application,
-    after which no mass is left: later factors have positive sums, so a
-    partial product holds none exactly when the full one would.
+    The grid has `sizes` cells per bottom, C order. The state after bottom
+    k is the vector of the partial sums of the tracked A rows that are open
+    (begun, not ended): the rows of the present evidences and, with
+    `track_absent`, every other row, whose factor is 1. Step k multiplies a
+    prefix's weight by `f_k(b_k)`, then by the product, in A-row order, of
+    the present evidences whose rows end at k, each at its row's sum, and
+    of a power of two near the inverse total (it is exact, so it cancels in
+    the normalizer): the forward mass alpha sums these weights per (state,
+    b_k), and each next state's mass is the pairwise sum of the masses that
+    reach it, as is its edge mass, that of prefixes where some bottom sits
+    at its top cell while its pmf goes on beyond it. Each step's (state,
+    b_k) tables are refused with SupportTooLarge before they are allocated
+    if they would hold more than `array_cap` elements. IncompatibleEvidence
+    names the first evidence, in order of application, after which no mass
+    is left: later factors have positive sums, so a partial product holds
+    none exactly when the full one would.
 
-    Returns the grid sizes, one step `(alpha, f, factor, to, closed)` per
-    bottom k, and the total and edge mass (both scaled as alpha). In a
-    step, alpha holds the masses of the states before k, and `factor`, `to`
-    (the next state) and each entry of `closed` (row i -> the sum of each
-    tracked row i that ends at k) are (states, b_k) arrays.
+    With `eta` > 0 the next states whose mass is below eta times the step's
+    total are dropped (beam pruning), and their transitions lead to a sink,
+    the index one past the kept states, whose completions weigh 0. A
+    dropped prefix's completions weigh at most its mass times the sum of
+    each later bottom's cut pmf and the largest value of each evidence that
+    closes later. The dropped masses, carried through those sums, maxima
+    and powers of two, thus bound the mass the pruned joint lacks; over the
+    pruned total, that bounds the total variation distance between the
+    pruned and the unpruned conditioned joints, and so between any of their
+    marginals.
+
+    Returns one step `(alpha, f, factor, to, closed)` per bottom k, the
+    total and the edge mass (both scaled as alpha), and that bound. In a
+    step, alpha holds the masses of the kept states before k, and `factor`,
+    `to` (the next state) and each entry of `closed` (row i -> the sum of
+    each tracked row i that ends at k) are (states, b_k) arrays.
     """
-    base.validate(h)
-    sizes = [pmf.quantile_truncate(epsilon) + 1 for pmf in base.bottom]
-    cells = math.prod(sizes)
-    if cells > cell_cap:
-        raise SupportTooLarge(
-            f"product support has {cells:.3g} cells (cap {cell_cap}); "
-            "use reconcile_mcmc instead"
-        )
     a, tops = h.a_matrix, np.array(sizes) - 1
     last = h.m - 1 - np.argmax(a[:, ::-1], axis=1)
-    evidence = {i: None if pmf is None else pmf.pmf(np.arange(a[i] @ tops + 1))
-                for i, pmf in enumerate(upper) if pmf is not None or track_absent}
-    open_sums, alpha, edge, steps = {}, np.ones(1), np.zeros(1), []
+    evidence = {i: pmf for i, pmf in enumerate(upper) if pmf is not None or track_absent}
+    open_sums, alpha, edge, dropped, steps = {}, np.ones(1), np.zeros(1), 0.0, []
     for k, (pmf, size) in enumerate(zip(base.bottom, sizes)):
+        _capped(len(alpha) * size, array_cap, f"the table at bottom {h.bottom_labels[k]!r}")
         b = np.arange(size)
         f = pmf.pmf(b)
         factor = np.ones((len(alpha), size))  # (states, b_k): the evidences closed at k
@@ -171,11 +197,15 @@ def _forward(h: Hierarchy, base: BaseForecastSet, epsilon: float, cell_cap: int,
         closed = {i: s for i, s in sums.items() if last[i] == k}
         for i, s in closed.items():
             if evidence[i] is not None:
-                factor = factor * evidence[i][s]
+                table = evidence[i].pmf(np.arange(a[i] @ tops + 1))
+                factor = factor * table[s]
+                dropped *= table.max()
                 if not alpha @ factor @ f > 0:
                     raise IncompatibleEvidence(
                         f"evidence for upper node {i} has no mass on reachable sums")
-        factor *= np.ldexp(1.0, -np.frexp(alpha @ factor @ f)[1])
+        scale = np.ldexp(1.0, -np.frexp(alpha @ factor @ f)[1])
+        factor *= scale
+        dropped *= scale * f.sum()
         key, radix = np.zeros(factor.size, np.int64), 1
         for i in sums:
             if last[i] > k:  # a mixed-radix key over the rows left open, renumbered densely
@@ -189,26 +219,37 @@ def _forward(h: Hierarchy, base: BaseForecastSet, epsilon: float, cell_cap: int,
         to, starts = np.empty_like(order), np.flatnonzero(new)
         to[order] = np.cumsum(new) - 1
         open_sums = {i: s.reshape(-1)[order[starts]] for i, s in sums.items() if last[i] > k}
-        steps.append((alpha, f, factor, to.reshape(factor.shape), closed))
         at_top = (b == size - 1) & (pmf.pmf(size) > 0)
-        edge = np.where(at_top, alpha[:, None], edge[:, None]) * f * factor
-        alpha = alpha[:, None] * f * factor
-        edge, alpha = (np.add.reduceat(x.reshape(-1)[order], starts)  # pairwise, per state
-                       for x in (edge, alpha))
-    return sizes, steps, alpha[0], edge[0]
+        next_edge = np.where(at_top, alpha[:, None], edge[:, None]) * f * factor
+        next_alpha = alpha[:, None] * f * factor
+        next_edge, next_alpha = (np.add.reduceat(x.reshape(-1)[order], starts)  # pairwise
+                                 for x in (next_edge, next_alpha))
+        if eta > 0:
+            keep = next_alpha >= eta * next_alpha.sum()
+            dropped += next_alpha[~keep].sum()
+            to = np.where(keep, np.cumsum(keep) - 1, keep.sum())[to]  # dropped: the sink
+            next_alpha, next_edge = next_alpha[keep], next_edge[keep]
+            open_sums = {i: s[keep] for i, s in open_sums.items()}
+        steps.append((alpha, f, factor, to.reshape(factor.shape), closed))
+        alpha, edge = next_alpha, next_edge
+    return steps, alpha[0], edge[0], float(dropped / alpha[0])
 
 
-def _exact_pass(h: Hierarchy, base: BaseForecastSet, epsilon: float, cell_cap: int,
+def _exact_pass(h: Hierarchy, base: BaseForecastSet, epsilon: float, array_cap: int,
                 upper: list[CountPmf | None]) -> CountJoint:
     """The bottom-up joint conditioned on `upper`, every cell of the grid an atom.
 
-    Prefixes are expanded bottom by bottom from the `_forward` tables, in C
-    order, step by step as there; the atoms are their weights over the
-    forward total, zeros included. The support is a column-major view of
-    the C-order index grid: a full grid stored as an .npz (the demos,
-    deflated at level 1) then deflates column by column, which is fast.
+    The grid is refused with SupportTooLarge before the pass runs if it has
+    more than `array_cap` cells. Prefixes are expanded bottom by bottom from
+    the unpruned `_forward` tables, in C order, step by step as there; the
+    atoms are their weights over the forward total, zeros included. The
+    support is a column-major view of the C-order index grid: a full grid
+    stored as an .npz (the demos, deflated at level 1) then deflates column
+    by column, which is fast.
     """
-    sizes, steps, total, _ = _forward(h, base, epsilon, cell_cap, upper)
+    sizes = _grid_sizes(h, base, epsilon)
+    _capped(math.prod(sizes), array_cap, "the expanded grid")
+    steps, total, _, _ = _forward(h, base, sizes, array_cap, upper)
     weight, state = np.ones(1), np.zeros(1, np.int64)
     for _, f, factor, to, _ in steps:
         weight = (weight[:, None] * f * factor[state]).reshape(-1)
@@ -221,7 +262,7 @@ def bottom_up_exact(
     h: Hierarchy,
     base: BaseForecastSet,
     epsilon: float = DEFAULT_EPSILON,
-    cell_cap: int = DEFAULT_CELL_CAP,
+    array_cap: int = DEFAULT_ARRAY_CAP,
 ) -> CountJoint:
     """Tabulate the probabilistic bottom-up joint over a truncated support.
 
@@ -231,9 +272,9 @@ def bottom_up_exact(
     construction.
 
     Raises:
-        SupportTooLarge: the grid would exceed cell_cap cells.
+        SupportTooLarge: the grid would exceed array_cap cells.
     """
-    return _exact_pass(h, base, epsilon, cell_cap, [None] * h.n_upper)
+    return _exact_pass(h, base, epsilon, array_cap, [None] * h.n_upper)
 
 
 def condition_on_upper(
@@ -267,7 +308,7 @@ def reconcile_exact(
     h: Hierarchy,
     base: BaseForecastSet,
     epsilon: float = DEFAULT_EPSILON,
-    cell_cap: int = DEFAULT_CELL_CAP,
+    array_cap: int = DEFAULT_ARRAY_CAP,
 ) -> CountJoint:
     """Bottom-up joint conditioned on every present evidence.
 
@@ -278,56 +319,81 @@ def reconcile_exact(
     for each evidence in A-row order (see _forward for the order used).
 
     Raises:
-        SupportTooLarge: the grid would exceed cell_cap cells.
+        SupportTooLarge: the grid would exceed array_cap cells.
         IncompatibleEvidence: the evidences leave no mass on the grid; the
             message names the first, in order of application, that did.
     """
-    return _exact_pass(h, base, epsilon, cell_cap, base.upper)
+    return _exact_pass(h, base, epsilon, array_cap, base.upper)
 
 
-def exact_marginals(h: Hierarchy,
-                    base: BaseForecastSet) -> tuple[dict[str, Tabulated], ExactDiagnostics]:
-    """Every node's marginal under reconcile_exact(h, base), with no atom expanded.
+def _marginals(h: Hierarchy, base: BaseForecastSet,
+               eta: float) -> tuple[dict[str, Tabulated], ExactDiagnostics]:
+    """Node marginals of the `_forward` pass pruned at `eta`, by one backward pass.
 
-    One backward pass over the `_forward` tables, which here track every A
-    row, gives each state the mass beta of all its completions. The mass of
-    (state, b_k) at step k is then alpha(state) * f_k(b_k) * factor *
-    beta(next state): bottom k's marginal sums it over the states, and the
-    marginal of an upper node is its bincount over the node's row sum at
-    the bottom where the row closes. Each node's weights are normalized by
-    their own sum, so the node pmfs agree with summarize(reconcile_exact(h,
-    base), h) up to rounding; the one error is the grid's cut at each
-    bottom's 1-DEFAULT_EPSILON quantile, stated as the edge mass. Returns
-    the pmfs keyed by node label, in node order, and the edge mass and the
-    most forward states after any bottom.
-
-    Raises:
-        SupportTooLarge: the grid would exceed DEFAULT_CELL_CAP cells.
-        IncompatibleEvidence: as reconcile_exact.
-
-    Warns:
-        TruncationWarning: edge mass above EDGE_MASS_WARN.
+    The forward pass here tracks every A row. The backward pass gives each
+    kept state beta, the mass of all its completions, and the sink beta 0.
+    The mass of (state, b_k) at step k is then alpha(state) * f_k(b_k) *
+    factor * beta(next state): bottom k's marginal sums it over the states,
+    and the marginal of an upper node is its bincount over the node's row
+    sum at the bottom where the row closes, so it ends at the largest sum
+    that a kept state reaches there. Each node's weights are normalized by
+    their own sum.
     """
-    _, steps, total, edge = _forward(h, base, DEFAULT_EPSILON, DEFAULT_CELL_CAP, base.upper,
-                                     track_absent=True)
-    edge_mass = float(edge / total)
-    if edge_mass > EDGE_MASS_WARN:
-        warnings.warn(
-            f"exact joint holds {edge_mass:.3g} of its mass at the top cell of a truncated "
-            f"bottom grid (warning above {EDGE_MASS_WARN:g}); the grid cuts posterior mass",
-            TruncationWarning,
-            stacklevel=2,
-        )
+    steps, total, edge, bound = _forward(h, base, _grid_sizes(h, base, DEFAULT_EPSILON),
+                                         DEFAULT_ARRAY_CAP, base.upper, track_absent=True,
+                                         eta=eta)
     weights, beta = {}, np.ones(1)
     for k, (alpha, f, factor, to, closed) in reversed(list(enumerate(steps))):
-        mass = f * factor * beta[to]
+        mass = f * factor * np.append(beta, 0.0)[to]
         beta = mass.sum(axis=1)
         mass *= alpha[:, None]
         weights[h.bottom_labels[k]] = mass.sum(axis=0)
         for i, sums in closed.items():
             weights[h.upper_labels[i]] = np.bincount(sums.reshape(-1), weights=mass.reshape(-1))
     marginals = {label: Tabulated.from_weights(weights[label]) for label in h.node_labels}
-    return marginals, ExactDiagnostics(edge_mass, max(len(step[0]) for step in steps))
+    return marginals, ExactDiagnostics(float(edge / total), max(len(step[0]) for step in steps),
+                                       bound)
+
+
+def exact_marginals(h: Hierarchy,
+                    base: BaseForecastSet) -> tuple[dict[str, Tabulated], ExactDiagnostics]:
+    """Every node's marginal under reconcile_exact(h, base), with no atom expanded.
+
+    The forward pass drops the states lighter than PRUNE_ETA times their
+    step's total, and one backward pass gives the node marginals
+    (`_marginals`). Their total variation distance from the unpruned pass's
+    is at most the certified bound `pruned_mass_bound`. Where that bound
+    exceeds PRUNE_BUDGET, or the pruned pass leaves no mass for some
+    evidence, the pass is run again unpruned, so pruning adds no refusal.
+    The unpruned node pmfs agree with summarize(reconcile_exact(h, base), h)
+    up to rounding. The other error is the grid's cut at each bottom's
+    1-DEFAULT_EPSILON quantile, stated as the edge mass. Returns the pmfs
+    keyed by node label, in node order, and the edge mass, the most
+    forward states kept after any bottom and the bound.
+
+    Raises:
+        SupportTooLarge: a step's tables would exceed DEFAULT_ARRAY_CAP
+            elements.
+        IncompatibleEvidence: as reconcile_exact.
+
+    Warns:
+        TruncationWarning: edge mass above EDGE_MASS_WARN.
+    """
+    try:
+        marginals, diagnostics = _marginals(h, base, PRUNE_ETA)
+    except IncompatibleEvidence:  # the pruned states may hold the only mass an evidence allows
+        diagnostics = None
+    if diagnostics is None or diagnostics.pruned_mass_bound > PRUNE_BUDGET:
+        marginals, diagnostics = _marginals(h, base, 0.0)
+    if diagnostics.edge_mass > EDGE_MASS_WARN:
+        warnings.warn(
+            f"exact joint holds {diagnostics.edge_mass:.3g} of its mass at the top cell of a "
+            f"truncated bottom grid (warning above {EDGE_MASS_WARN:g}); the grid cuts "
+            "posterior mass",
+            TruncationWarning,
+            stacklevel=2,
+        )
+    return marginals, diagnostics
 
 
 def _mcmc_tables(h: Hierarchy, base: BaseForecastSet):

@@ -30,15 +30,20 @@ def poisson_249():
     return BaseForecastSet([Poisson(2.0), Poisson(4.0)], [Poisson(9.0)])
 
 
-def write_synthetic_observations(path: Path, n_years: int = 4, seed: int = 0) -> list[str]:
-    """Seeded intermittent count series (sparse Poisson plus one NB-ish mix)."""
+def synthetic_series(n_years: int = 4, seed: int = 0) -> dict[str, np.ndarray]:
+    """Seeded intermittent monthly count series (sparse Poisson plus one NB-ish mix)."""
     rng = np.random.default_rng(seed)
     t_len = 12 * n_years
-    series = {
+    return {
         "sparse_a": rng.poisson(0.6, size=t_len),
         "sparse_b": rng.poisson(1.2, size=t_len) * rng.binomial(1, 0.55, size=t_len),
         "bursty": rng.negative_binomial(0.8, 0.35, size=t_len),
     }
+
+
+def write_synthetic_observations(path: Path, n_years: int = 4, seed: int = 0) -> list[str]:
+    """The `synthetic_series` as an observations CSV; returns the series ids."""
+    series = synthetic_series(n_years, seed)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["series_id", "t", "value"])
@@ -46,6 +51,19 @@ def write_synthetic_observations(path: Path, n_years: int = 4, seed: int = 0) ->
             for t, v in enumerate(values):
                 writer.writerow([sid, t, int(v)])
     return sorted(series)
+
+
+def monthly_case(kind: str, seed: int = 0, evidence_scale: float = 1.0):
+    """(hierarchy, base forecasts) of one `synthetic_series` kind on the MONTHLY hierarchy.
+
+    The forecasts are those the builtin forecaster makes for `reconc reconcile`
+    (test window of 12 months), with every upper rate times `evidence_scale`.
+    """
+    h = build_temporal_hierarchy(MONTHLY["bottom_period_count"], MONTHLY["factors"])
+    entries = harness.empirical_poisson_forecasts(synthetic_series(seed=seed)[kind][:-h.m], h)
+    for label in h.upper_labels:
+        entries[label]["lambda"] *= evidence_scale
+    return h, harness._count_forecast_set(h, entries)
 
 
 def write_config(path: Path, **overrides) -> Path:

@@ -29,7 +29,11 @@ under `--tol PATTERN=VALUE`, PATTERN a glob on the field name, and only if
 it is at most VALUE x max(1, |old|, |new|). There, numeric lists of unequal length are zero-padded, as a pmf whose
 tail was trimmed. Fields and files that only the new tree has pass only
 under `--allow-added PATTERN`, and those that only the old tree has only
-under `--allow-removed PATTERN`.
+under `--allow-removed PATTERN`. Where the trees hold unequal numbers of CSV
+rows, or of objects in a JSON list, these are matched by their text cells
+or values, and by their order among those that share them: a row is then
+named `<file>:[<text cells>]`, with `#k` after the k-th (k > 1) of its
+text, and one that only a tree has is an added or removed field.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import csv
 import json
 import math
 import os
+from collections import Counter
 import sys
 from fnmatch import fnmatch
 from pathlib import Path
@@ -90,6 +95,24 @@ def _parse_number(text: str):
         return float(text)
     except ValueError:
         return None
+
+
+def _object_label(item: dict) -> str:
+    return "[" + "/".join(v for v in item.values() if isinstance(v, str)) + "]"
+
+
+def _row_label(row: list[str]) -> str:
+    return "/".join(cell for cell in row if _parse_number(cell) is None)
+
+
+def _by_label(items: list, label) -> dict:
+    """The items keyed by `label(item)`; the k-th item (k > 1) of a label gets `#k` after it."""
+    keyed, seen = {}, Counter()
+    for item in items:
+        text = label(item)
+        seen[text] += 1
+        keyed[text if seen[text] == 1 else f"{text}#{seen[text]}"] = item
+    return keyed
 
 
 class Comparison:
@@ -146,6 +169,10 @@ class Comparison:
                 else:
                     self.values(sub, a[k], b[k])
         elif isinstance(a, list) and isinstance(b, list):
+            if len(a) != len(b) and all(isinstance(v, dict) for v in a + b):
+                # objects added or removed: matched by their text values
+                self.values(key, _by_label(a, _object_label), _by_label(b, _object_label))
+                return
             if len(a) != len(b):
                 padded = (self._tolerance(key)[0] is not None
                           and all(_is_number(v) for v in a + b))
@@ -155,8 +182,7 @@ class Comparison:
                 a = a + [0] * (len(b) - len(a))
                 b = b + [0] * (len(a) - len(b))
             for i, (x, y) in enumerate(zip(a, b)):
-                label = ("[" + "/".join(v for v in x.values() if isinstance(v, str)) + "]"
-                         if isinstance(x, dict) else "")
+                label = _object_label(x) if isinstance(x, dict) else ""
                 self.values(f"{key}/{i}{label}", x, y)
         elif _is_number(a) and _is_number(b):
             if a == b or (math.isnan(a) and math.isnan(b)):
@@ -169,18 +195,28 @@ class Comparison:
     def csv_files(self, key: str, a: Path, b: Path):
         with open(a, newline="") as fa, open(b, newline="") as fb:
             rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
-        if not rows_a or not rows_b or rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
-            self.failures.append(f"{key}: header or row count differs")
+        if not rows_a or not rows_b or rows_a[0] != rows_b[0]:
+            self.failures.append(f"{key}: header differs")
             return
         header = rows_a[0]
-        for i, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), start=1):
-            label = "/".join(cell for cell in ra if _parse_number(cell) is None)
+        if len(rows_a) == len(rows_b):
+            pairs = {f"{i}[{_row_label(ra)}]": (ra, rb)
+                     for i, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), start=1)}
+        else:  # rows added or removed: matched by their text cells
+            keyed_a, keyed_b = _by_label(rows_a[1:], _row_label), _by_label(rows_b[1:], _row_label)
+            for label in sorted(keyed_a.keys() - keyed_b.keys()):
+                self.old_only(f"{key}:[{label}]")
+            for label in sorted(keyed_b.keys() - keyed_a.keys()):
+                self.new_only(f"{key}:[{label}]")
+            pairs = {f"[{label}]": (keyed_a[label], keyed_b[label])
+                     for label in sorted(keyed_a.keys() & keyed_b.keys())}
+        for row, (ra, rb) in pairs.items():
             for column, x, y in zip(header, ra, rb):
                 nx, ny = _parse_number(x), _parse_number(y)
                 if nx is not None and ny is not None:
-                    self.values(f"{key}:{i}[{label}]/{column}", nx, ny)
+                    self.values(f"{key}:{row}/{column}", nx, ny)
                 elif x != y:
-                    self.failures.append(f"{key}:{i}[{label}]/{column}: {x!r} != {y!r}")
+                    self.failures.append(f"{key}:{row}/{column}: {x!r} != {y!r}")
 
     def npz_files(self, key: str, a: Path, b: Path):
         with np.load(a, allow_pickle=False) as xa, np.load(b, allow_pickle=False) as xb:

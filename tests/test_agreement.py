@@ -1,17 +1,22 @@
-"""Cross-method agreement on seeded random small hierarchies.
+"""Cross-method agreement on seeded random small hierarchies and on the monthly hierarchy.
 
-Each case draws a 0/1 aggregation matrix with arbitrary (mostly
+Each random case draws a 0/1 aggregation matrix with arbitrary (mostly
 non-temporal) rows, Poisson or negative binomial bottoms, and Poisson
-evidences near the bottom-up sums, some of them absent.
+evidences near the bottom-up sums, some of them absent. The monthly cases
+are the synthetic series of the pipeline tests, forecast by the builtin
+forecaster.
 """
 
 import numpy as np
 import pytest
 
+from helpers import monthly_case
 from reconc.conditioning import (
+    PRUNE_BUDGET,
     BaseForecastSet,
     bottom_up_exact,
     condition_on_upper,
+    exact_marginals,
     reconcile_exact,
     reconcile_mcmc,
     summarize,
@@ -47,6 +52,27 @@ def test_exact_and_mcmc_marginals_agree(seed):
     sampled = summarize(reconcile_mcmc(h, base, n_chains=4, n_samples=10_000, seed=seed), h)
     for label in h.node_labels:
         tv = total_variation(exact[label].pmf.probs, sampled[label].pmf.probs)
+        assert tv <= 0.02, (label, tv)
+
+
+#: (synthetic kind, factor on every upper rate): one case per kind, and one whose evidence
+#: sits at 1.5 times the bottom-up sums, where the posterior moves away from the prior
+MONTHLY_CASES = {"sparse_a": ("sparse_a", 1.0), "sparse_b": ("sparse_b", 1.0),
+                 "bursty": ("bursty", 1.0), "sparse_a_high": ("sparse_a", 1.5)}
+
+
+@pytest.mark.parametrize("case", sorted(MONTHLY_CASES))
+def test_mcmc_agrees_with_the_pruned_exact_marginals_on_the_monthly_hierarchy(case):
+    # MH at the paper's settings; seen worst node TVs: 0.0169 (sparse_a), 0.0160
+    # (sparse_b), 0.0102 (bursty), 0.0095 (sparse_a_high), and at most 0.0172 over
+    # series seeds 0-2; the exact error, the pruned mass bound, is at most 1.8e-14
+    kind, scale = MONTHLY_CASES[case]
+    h, base = monthly_case(kind, evidence_scale=scale)
+    exact, diagnostics = exact_marginals(h, base)
+    assert diagnostics.pruned_mass_bound <= PRUNE_BUDGET
+    sampled = summarize(reconcile_mcmc(h, base, n_chains=4, n_samples=10_000, seed=0), h)
+    for label in h.node_labels:
+        tv = total_variation(exact[label].probs, sampled[label].pmf.probs)
         assert tv <= 0.02, (label, tv)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import write_config, write_synthetic_observations
 from reconc.cli import main
+from reconc.conditioning import PRUNE_BUDGET
 
 
 def test_hierarchy_command(capsys):
@@ -49,6 +50,20 @@ def test_reconcile_and_score_commands(tmp_path, capsys):
     assert main(["score", "--config", str(score_cfg), "--quiet"]) == 0
     assert (tmp_path / "scores" / "scores.csv").exists()
     assert capsys.readouterr().out == ""
+
+
+def test_exact_reconcile_runs_the_monthly_hierarchy(tmp_path, capsys):
+    # the grid has about 1e12 cells; the pruned pass keeps at most 104882 states (bursty)
+    series = write_synthetic_observations(tmp_path / "obs.csv")
+    rec_cfg = write_config(tmp_path / "rec.json", method="probCount_exact", output_dir="out")
+    assert main(["reconcile", "--config", str(rec_cfg), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    records = json.loads((tmp_path / "out" / "summaries.json").read_text())
+    assert sorted(records) == series
+    for record in records.values():
+        diagnostics = record["diagnostics"]
+        assert set(diagnostics) == {"edge_mass", "peak_states", "pruned_mass_bound"}
+        assert 0 < diagnostics["pruned_mass_bound"] <= PRUNE_BUDGET
 
 
 def test_quiet_suppresses_tables(tmp_path, capsys):
@@ -323,7 +338,7 @@ RECONCILE_ERRORS = [  # (method, entries in place of the method's own, exit code
      "series 's1': evidence for upper node 0 has no mass on reachable sums"),
     ("probCount_exact", {"b1": {"dist": "poisson", "lambda": 2e5},
                          "b2": {"dist": "poisson", "lambda": 2e5}}, 1,
-     "series 's1': product support has 4.11e+10 cells (cap 10000000); "
+     "series 's1': the table at bottom 'b2' would hold 1.29e+09 elements (cap 10000000); "
      "use reconcile_mcmc instead"),
     # b1 + b2 = 30 only: neither the medians (0, 0) nor a neighbour gets there
     ("probCount_mcmc", {"agg2_1": {"dist": "tabulated", "probs": [0.0] * 30 + [1.0]}}, 1,

@@ -3,13 +3,17 @@
 import itertools
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
-from helpers import GROUND_TRUTH, H421, MINIMAL, poisson_249
-from reconc import harness
+from helpers import GROUND_TRUTH, H421, MINIMAL, monthly_case, poisson_249
+from reconc import conditioning, harness
 from reconc.conditioning import (
+    EDGE_MASS_WARN,
+    PRUNE_BUDGET,
+    PRUNE_ETA,
     BaseForecastSet,
     CountJoint,
     MarginalSummary,
@@ -37,7 +41,7 @@ from reconc.hierarchy import (
     is_coherent,
 )
 from reference_exact import per_atom_chain
-from test_agreement import SEEDS, random_case
+from test_agreement import SEEDS, random_case, total_variation
 from test_mcmc import MONTHLY_H, ORACLE_CASES, monthly_mixed
 
 # reconciled correlation of the poisson_249 bottoms, from the enumeration of GROUND_TRUTH
@@ -79,7 +83,7 @@ def test_bottom_up_poisson_sum_is_poisson():
 def test_cell_cap():
     base = BaseForecastSet([Poisson(50.0), Poisson(50.0)], [None])
     with pytest.raises(SupportTooLarge):
-        bottom_up_exact(MINIMAL, base, cell_cap=100)
+        bottom_up_exact(MINIMAL, base, array_cap=100)
 
 
 def test_bottom_up_grid_rows_follow_product_order():
@@ -504,18 +508,58 @@ def marginal_case(name):
 #: same products of up to m + n_upper rounded factors, in other orders (seen: 4.4e-15)
 MARGINAL_ATOL = 1e-13
 
+MARGINAL_CASES = EXACT_CASES + [f"seeded_m6_{seed}" for seed in range(4)] + ["m6_absent"]
 
-@pytest.mark.parametrize("case", EXACT_CASES + [f"seeded_m6_{seed}" for seed in range(4)]
-                         + ["m6_absent"])
+
+@pytest.mark.parametrize("case", MARGINAL_CASES)
 def test_exact_marginals_match_the_summaries_of_the_full_grid(case):
+    # a pruned pmf ends at the last sum a kept state reaches, so it may be the shorter; an
+    # entry differs by at most the TV distance, which the pruned mass bound bounds
     h, base = marginal_case(case)
-    marginals, _ = exact_marginals(h, base)
+    marginals, diagnostics = exact_marginals(h, base)
     expected = summarize(reconcile_exact(h, base), h)
     assert list(marginals) == list(h.node_labels)
     for label in h.node_labels:
         got, want = marginals[label].probs, expected[label].pmf.probs
-        assert got.shape == want.shape, label
-        np.testing.assert_allclose(got, want, rtol=0, atol=MARGINAL_ATOL, err_msg=label)
+        assert len(got) <= len(want), label
+        np.testing.assert_allclose(np.pad(got, (0, len(want) - len(got))), want, rtol=0,
+                                   atol=diagnostics.pruned_mass_bound + MARGINAL_ATOL,
+                                   err_msg=label)
+
+
+def tv_rounding(h):
+    """Allowance on a node TV distance for rounding: the pruned and unpruned passes sum
+    products of up to m + n_upper rounded factors in other orders (seen: 5.9e-17 past the
+    bound, over the gate's cases)."""
+    return (h.m + h.n_upper) * np.finfo(float).eps
+
+
+def max_node_tv(p, q, h):
+    return max(total_variation(p[label].probs, q[label].probs) for label in h.node_labels)
+
+
+@pytest.mark.parametrize("eta", [1e-12, 1e-8, 1e-4])
+@pytest.mark.parametrize("case", MARGINAL_CASES)
+def test_pruned_marginals_stay_within_the_certified_bound(case, eta):
+    h, base = marginal_case(case)
+    full, unpruned = conditioning._marginals(h, base, 0.0)
+    pruned, diagnostics = conditioning._marginals(h, base, eta)
+    assert unpruned.pruned_mass_bound == 0.0
+    assert diagnostics.peak_states <= unpruned.peak_states
+    if "m6" in case:  # these grids hold states below every tested threshold
+        assert diagnostics.pruned_mass_bound > 0
+    assert max_node_tv(pruned, full, h) <= diagnostics.pruned_mass_bound + tv_rounding(h)
+
+
+def test_pruned_monthly_marginals_stay_within_the_bounds_of_two_thresholds():
+    # the unpruned monthly pass would hold about 1e6 states, so two pruned passes are held
+    # to each other: TV(p, q) <= TV(p, unpruned) + TV(unpruned, q) <= the sum of the bounds
+    h, base = monthly_case("sparse_a")
+    loose, loose_diagnostics = conditioning._marginals(h, base, 1e-6)
+    marginals, diagnostics = exact_marginals(h, base)
+    assert 0 < diagnostics.pruned_mass_bound <= PRUNE_BUDGET  # no fallback
+    bounds = loose_diagnostics.pruned_mass_bound + diagnostics.pruned_mass_bound
+    assert max_node_tv(loose, marginals, h) <= bounds + 2 * tv_rounding(h)
 
 
 @pytest.mark.parametrize("case", EXACT_CASES + ["m6"])
@@ -534,6 +578,7 @@ def test_exact_marginals_are_normalized_node_by_node_and_coherent(case):
 def test_peak_states_counts_the_distinct_open_row_sums(case):
     # every row is tracked; after bottom k, the state is the sums over b_1..b_k of the rows
     # that begin at or before k and end after it, and every grid prefix reaches its state
+    # unpruned; pruning keeps some of them
     h, base = exact_case(case)
     support = reconcile_exact(h, base).bottom_support
     first, last = np.argmax(h.a_matrix, axis=1), h.m - 1 - np.argmax(h.a_matrix[:, ::-1], axis=1)
@@ -541,7 +586,8 @@ def test_peak_states_counts_the_distinct_open_row_sums(case):
     for k in range(h.m - 1):
         open_rows = h.a_matrix[(first <= k) & (last > k), : k + 1]
         counts.append(len(np.unique(support[:, : k + 1] @ open_rows.T, axis=0)))
-    assert exact_marginals(h, base)[1].peak_states == max(counts)
+    assert conditioning._marginals(h, base, 0.0)[1].peak_states == max(counts)
+    assert exact_marginals(h, base)[1].peak_states <= max(counts)
 
 
 def test_exact_marginals_without_evidence_are_the_cut_bottom_pmfs():
@@ -555,8 +601,15 @@ def test_exact_marginals_without_evidence_are_the_cut_bottom_pmfs():
 
 
 def test_exact_marginals_refuse_like_reconcile_exact():
-    with pytest.raises(SupportTooLarge, match="cap 10000000"):
-        exact_marginals(MINIMAL, BaseForecastSet([Poisson(2e5)] * 2, [Poisson(4e5)]))
+    # the expansion would hold the 4e10 cells of the grid; the pass, a table of the 6388
+    # states kept after b1 (from 8.3 sd below 2e5 to the grid's top) by b2's 202689 values
+    base = BaseForecastSet([Poisson(2e5)] * 2, [Poisson(4e5)])
+    with pytest.raises(SupportTooLarge, match=r"^the expanded grid would hold 4\.\d+e\+10 "
+                       r"elements \(cap 10000000\); use reconcile_mcmc instead$"):
+        reconcile_exact(MINIMAL, base)
+    with pytest.raises(SupportTooLarge, match=r"^the table at bottom 'b2' would hold 1\.29e\+09 "
+                       r"elements \(cap 10000000\); use reconcile_mcmc instead$"):
+        exact_marginals(MINIMAL, base)
     a = np.array([[1, 1], [1, 0]])
     h = Hierarchy(a, ("agg_b1_b2", "agg_b1", "b1", "b2"))
     half = Tabulated(np.array([0.5, 0.5]))
@@ -564,6 +617,66 @@ def test_exact_marginals_refuse_like_reconcile_exact():
                                           Tabulated(np.array([0.0, 1.0]))])
     with pytest.raises(IncompatibleEvidence, match="upper node 0 "):
         exact_marginals(h, base)
+
+
+def light_path_case(name):
+    """m6_poisson_case with agg6_1's evidence on a total of 30, which only prefixes far
+    lighter than PRUNE_ETA times their step's total reach: alone ("no_mass"), or with 1e-20
+    on each total below 10 ("over_budget")."""
+    h, base = m6_poisson_case()
+    probs = np.zeros(31)
+    if name == "over_budget":
+        probs[:10] = 1e-20
+    probs[30] = 1 - probs.sum()
+    return h, BaseForecastSet(base.bottom, [Tabulated(probs)] + base.upper[1:])
+
+
+@pytest.mark.parametrize("case", ["no_mass", "over_budget"])
+def test_exact_marginals_rerun_unpruned_where_pruning_cuts_the_evidence(case):
+    h, base = light_path_case(case)
+    if case == "no_mass":
+        with pytest.raises(IncompatibleEvidence, match="upper node 0 "):
+            conditioning._marginals(h, base, PRUNE_ETA)
+    else:
+        assert conditioning._marginals(h, base, PRUNE_ETA)[1].pruned_mass_bound > PRUNE_BUDGET
+    full, unpruned = conditioning._marginals(h, base, 0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        marginals, diagnostics = exact_marginals(h, base)
+    assert diagnostics == unpruned and diagnostics.pruned_mass_bound == 0.0
+    # the edge mass warned on is the rerun's (0.12 where all the evidence is on 30)
+    assert len(caught) == (unpruned.edge_mass > EDGE_MASS_WARN) == (case == "no_mass")
+    for label in h.node_labels:
+        assert np.array_equal(marginals[label].probs, full[label].probs), label
+
+
+def incompatible_case(name):
+    """Evidences without mass on reachable sums: the two-row case of
+    test_exact_marginals_refuse_like_reconcile_exact, and m6 with agg2_2 beyond its grid."""
+    if name == "two_rows":
+        a = np.array([[1, 1], [1, 0]])
+        half = Tabulated(np.array([0.5, 0.5]))
+        return (Hierarchy(a, ("agg_b1_b2", "agg_b1", "b1", "b2")),
+                BaseForecastSet([half, half], [Tabulated(np.array([1.0])),
+                                               Tabulated(np.array([0.0, 1.0]))]))
+    h, base = m6_poisson_case()
+    beyond = Tabulated(np.eye(100)[99])
+    return h, BaseForecastSet(base.bottom, [beyond if label == "agg2_2" else pmf
+                                            for label, pmf in zip(h.upper_labels, base.upper)])
+
+
+@pytest.mark.parametrize("eta", [PRUNE_ETA, 1e-4])
+@pytest.mark.parametrize("case", ["two_rows", "m6_agg2_2"])
+def test_pruned_pass_names_the_evidence_the_unpruned_pass_names(case, eta):
+    h, base = incompatible_case(case)
+    with pytest.raises(IncompatibleEvidence) as unpruned:
+        conditioning._marginals(h, base, 0.0)
+    for run in (partial(conditioning._marginals, eta=eta), exact_marginals):
+        with pytest.raises(IncompatibleEvidence) as pruned:
+            run(h, base)
+        assert str(pruned.value) == str(unpruned.value)
+    node = h.upper_labels.index("agg2_2") if case == "m6_agg2_2" else 0
+    assert str(unpruned.value).startswith(f"evidence for upper node {node} ")
 
 
 def _pipeline_exact(h, base, entries=None):
@@ -592,11 +705,13 @@ def test_pipeline_summarizes_exact_marginals(case):
 
 
 def test_pipeline_refuses_an_oversized_grid_before_allocating_it():
-    # each bottom grid has about 2e5 cells, so the product has about 4e10
-    h, base = MINIMAL, BaseForecastSet([Poisson(2e5)] * 2, [Poisson(4e5)])
+    # b1 keeps at most its 16 cells as states and b2's grid has about 2e7 cells, so the
+    # step at b2 would allocate tables of 3.2e8 elements, 2.6 GB for each float one
+    h, base = MINIMAL, BaseForecastSet([Poisson(2.0), Poisson(2e7)], [Poisson(2e7)])
     tracemalloc.start()
     try:
-        with pytest.raises(SupportTooLarge, match="cap 10000000"):
+        with pytest.raises(SupportTooLarge, match=r"^the table at bottom 'b2' would hold "
+                           r"3\.2e\+08 elements \(cap 10000000\)"):
             _pipeline_exact(h, base)
         _, peak = tracemalloc.get_traced_memory()
     finally:

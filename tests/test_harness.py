@@ -309,7 +309,8 @@ def test_reconcile_outputs_from_forecast_file(tmp_path):
     assert nodes["b1"]["mean"] == pytest.approx(2.3646303986, abs=1e-6)
     # the node marginals come from the forward/backward tables; no joint is stored
     assert not list(out.glob("joint_*.npz"))
-    assert set(summaries["series"]["diagnostics"]) == {"edge_mass", "peak_states"}
+    assert set(summaries["series"]["diagnostics"]) == {"edge_mass", "peak_states",
+                                                        "pruned_mass_bound"}
 
 
 def test_reconcile_skips_missing_upper_evidence(tmp_path):
@@ -461,7 +462,7 @@ def test_exact_record_stores_the_marginals_and_no_joint(tmp_path):
     record = json.loads((out / "summaries.json").read_text())["series"]
     assert sorted(p.name for p in out.iterdir()) == ["summaries.json"]
     assert "joint_file" not in record and read_artifact(record, out) is None
-    assert set(record["diagnostics"]) == {"edge_mass", "peak_states"}
+    assert set(record["diagnostics"]) == {"edge_mass", "peak_states", "pruned_mass_bound"}
     assert 0 < record["diagnostics"]["edge_mass"] < 1e-6
     # after b1 the one row is open at each cell of b1's grid
     assert record["diagnostics"]["peak_states"] == Poisson(2).quantile_truncate() + 1
