@@ -562,6 +562,43 @@ def test_pruned_monthly_marginals_stay_within_the_bounds_of_two_thresholds():
     assert max_node_tv(loose, marginals, h) <= bounds + 2 * tv_rounding(h)
 
 
+#: node means of the unpruned pass on the monthly hierarchy at Poisson(0.4) bottoms, each
+#: evidence Poisson at 0.4 times its row's size; at Poisson(0.5) bottoms a step's tables
+#: would pass DEFAULT_ARRAY_CAP
+MONTHLY_04_MEANS = {
+    "agg12_1": 3.3454350382798212, "agg6_1": 1.6727175191399106,
+    "agg6_2": 1.6727175191399102, "agg4_1": 1.1114024227244164,
+    "agg4_2": 1.1226301928309899, "agg4_3": 1.111402422724416,
+    "agg3_1": 0.8510821014475172, "agg3_2": 0.8216354176923937,
+    "agg3_3": 0.8216354176923938, "agg3_4": 0.8510821014475165,
+    "agg2_1": 0.5737547612215145, "agg2_2": 0.5376476615029017,
+    "agg2_3": 0.5613150964154944, "agg2_4": 0.5613150964154945,
+    "agg2_5": 0.5376476615029014, "agg2_6": 0.573754761221514,
+    "b1": 0.2868773806107572, "b2": 0.28687738061075724, "b3": 0.27732734022600264,
+    "b4": 0.260320321276899, "b5": 0.2806575482077473, "b6": 0.28065754820774713,
+    "b7": 0.2806575482077474, "b8": 0.2806575482077473, "b9": 0.2603203212768991,
+    "b10": 0.27732734022600286, "b11": 0.2868773806107574, "b12": 0.286877380610758,
+}
+
+
+@pytest.mark.slow
+def test_monthly_exact_means_stay_pinned_with_and_without_pruning():
+    # the unpruned pass holds 607257 states after its widest bottom (about 1 s, 0.55 GB)
+    h = MONTHLY_H
+    base = BaseForecastSet([Poisson(0.4)] * h.m,
+                           [Poisson(0.4 * row.sum()) for row in h.a_matrix])
+    full, unpruned = conditioning._marginals(h, base, 0.0)
+    pruned, diagnostics = exact_marginals(h, base)
+    assert unpruned.peak_states == 607257
+    assert 0 < diagnostics.pruned_mass_bound <= PRUNE_BUDGET  # no fallback
+    assert list(MONTHLY_04_MEANS) == list(h.node_labels)
+    for label, mean in MONTHLY_04_MEANS.items():
+        assert full[label].mean() == pytest.approx(mean, rel=1e-13), label
+        # pmfs on 0..K whose TV distance is d have means at most K * d apart
+        allowance = full[label].support_max * (diagnostics.pruned_mass_bound + tv_rounding(h))
+        assert pruned[label].mean() == pytest.approx(mean, rel=1e-13, abs=allowance), label
+
+
 @pytest.mark.parametrize("case", EXACT_CASES + ["m6"])
 def test_exact_marginals_are_normalized_node_by_node_and_coherent(case):
     h, base = exact_case(case)
