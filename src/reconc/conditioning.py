@@ -145,26 +145,24 @@ def _grid_sizes(h: Hierarchy, base: BaseForecastSet, epsilon: float) -> list[int
     return [pmf.quantile_truncate(epsilon) + 1 for pmf in base.bottom]
 
 
-def _forward(h: Hierarchy, base: BaseForecastSet, sizes: list[int], array_cap: int,
-             upper: list[CountPmf | None], track_absent: bool = False, eta: float = 0.0):
-    """Forward tables of the bottom-up joint conditioned on `upper`, bottom by bottom.
+def _forward(h: Hierarchy, base: BaseForecastSet, sizes: list[int], array_cap: int, eta: float):
+    """Forward tables of the bottom-up joint conditioned on `base.upper`, bottom by bottom.
 
-    The grid has `sizes` cells per bottom, C order. The state after bottom
-    k is the vector of the partial sums of the tracked A rows that are open
-    (begun, not ended): the rows of the present evidences and, with
-    `track_absent`, every other row, whose factor is 1. Step k multiplies a
-    prefix's weight by `f_k(b_k)`, then by the product, in A-row order, of
-    the present evidences whose rows end at k, each at its row's sum, and
-    of a power of two near the inverse total (it is exact, so it cancels in
-    the normalizer): the forward mass alpha sums these weights per (state,
-    b_k), and each next state's mass is the pairwise sum of the masses that
-    reach it, as is its edge mass, that of prefixes where some bottom sits
-    at its top cell while its pmf goes on beyond it. Each step's (state,
-    b_k) tables are refused with SupportTooLarge before they are allocated
-    if they would hold more than `array_cap` elements. IncompatibleEvidence
-    names the first evidence, in order of application, after which no mass
-    is left: later factors have positive sums, so a partial product holds
-    none exactly when the full one would.
+    The grid has `sizes` cells per bottom, C order. The state after bottom k
+    is the vector of the partial sums of the A rows that are open (begun, not
+    ended); every row is tracked, and an absent evidence's factor is 1. Step
+    k multiplies a prefix's weight by `f_k(b_k)`, then by the product, in
+    A-row order, of the present evidences whose rows end at k, each at its
+    row's sum, and of a power of two near the inverse total (it is exact, so
+    it cancels in the normalizer): the forward mass alpha sums these weights
+    per (state, b_k), and each next state's mass is the pairwise sum of the
+    masses that reach it, as is its edge mass, that of prefixes where some
+    bottom sits at its top cell while its pmf goes on beyond it. Each step's
+    (state, b_k) tables are refused with SupportTooLarge before they are
+    allocated if they would hold more than `array_cap` elements.
+    IncompatibleEvidence names the first evidence, in order of application,
+    after which no mass is left: later factors have positive sums, so a
+    partial product holds none exactly when the full one would.
 
     With `eta` > 0 the next states whose mass is below eta times the step's
     total are dropped (beam pruning), and their transitions lead to a sink,
@@ -181,11 +179,10 @@ def _forward(h: Hierarchy, base: BaseForecastSet, sizes: list[int], array_cap: i
     total and the edge mass (both scaled as alpha), and that bound. In a
     step, alpha holds the masses of the kept states before k, and `factor`,
     `to` (the next state) and each entry of `closed` (row i -> the sum of
-    each tracked row i that ends at k) are (states, b_k) arrays.
+    each row i that ends at k) are (states, b_k) arrays.
     """
     a, tops = h.a_matrix, np.array(sizes) - 1
     last = h.m - 1 - np.argmax(a[:, ::-1], axis=1)
-    evidence = {i: pmf for i, pmf in enumerate(upper) if pmf is not None or track_absent}
     open_sums, alpha, edge, dropped, steps = {}, np.ones(1), np.zeros(1), 0.0, []
     for k, (pmf, size) in enumerate(zip(base.bottom, sizes)):
         _capped(len(alpha) * size, array_cap, f"the table at bottom {h.bottom_labels[k]!r}")
@@ -193,11 +190,11 @@ def _forward(h: Hierarchy, base: BaseForecastSet, sizes: list[int], array_cap: i
         f = pmf.pmf(b)
         factor = np.ones((len(alpha), size))  # (states, b_k): the evidences closed at k
         sums = {i: np.add.outer(open_sums.get(i, np.zeros(len(alpha), np.int64)), a[i, k] * b)
-                for i in evidence if i in open_sums or a[i, k]}
+                for i in range(h.n_upper) if i in open_sums or a[i, k]}
         closed = {i: s for i, s in sums.items() if last[i] == k}
         for i, s in closed.items():
-            if evidence[i] is not None:
-                table = evidence[i].pmf(np.arange(a[i] @ tops + 1))
+            if base.upper[i] is not None:
+                table = base.upper[i].pmf(np.arange(a[i] @ tops + 1))
                 factor = factor * table[s]
                 dropped *= table.max()
                 if not alpha @ factor @ f > 0:
@@ -235,21 +232,19 @@ def _forward(h: Hierarchy, base: BaseForecastSet, sizes: list[int], array_cap: i
     return steps, alpha[0], edge[0], float(dropped / alpha[0])
 
 
-def _exact_pass(h: Hierarchy, base: BaseForecastSet, epsilon: float, array_cap: int,
-                upper: list[CountPmf | None]) -> CountJoint:
-    """The bottom-up joint conditioned on `upper`, every cell of the grid an atom.
+def _exact_pass(h: Hierarchy, base: BaseForecastSet, epsilon: float,
+                array_cap: int) -> CountJoint:
+    """The bottom-up joint conditioned on `base.upper`, every cell of the grid an atom.
 
     The grid is refused with SupportTooLarge before the pass runs if it has
     more than `array_cap` cells. Prefixes are expanded bottom by bottom from
     the unpruned `_forward` tables, in C order, step by step as there; the
     atoms are their weights over the forward total, zeros included. The
-    support is a column-major view of the C-order index grid: a full grid
-    stored as an .npz (the demos, deflated at level 1) then deflates column
-    by column, which is fast.
+    support is a column-major view of the C-order index grid.
     """
     sizes = _grid_sizes(h, base, epsilon)
     _capped(math.prod(sizes), array_cap, "the expanded grid")
-    steps, total, _, _ = _forward(h, base, sizes, array_cap, upper)
+    steps, total, _, _ = _forward(h, base, sizes, array_cap, 0.0)
     weight, state = np.ones(1), np.zeros(1, np.int64)
     for _, f, factor, to, _ in steps:
         weight = (weight[:, None] * f * factor[state]).reshape(-1)
@@ -274,7 +269,7 @@ def bottom_up_exact(
     Raises:
         SupportTooLarge: the grid would exceed array_cap cells.
     """
-    return _exact_pass(h, base, epsilon, array_cap, [None] * h.n_upper)
+    return _exact_pass(h, BaseForecastSet(base.bottom, [None] * h.n_upper), epsilon, array_cap)
 
 
 def condition_on_upper(
@@ -323,25 +318,23 @@ def reconcile_exact(
         IncompatibleEvidence: the evidences leave no mass on the grid; the
             message names the first, in order of application, that did.
     """
-    return _exact_pass(h, base, epsilon, array_cap, base.upper)
+    return _exact_pass(h, base, epsilon, array_cap)
 
 
 def _marginals(h: Hierarchy, base: BaseForecastSet,
                eta: float) -> tuple[dict[str, Tabulated], ExactDiagnostics]:
     """Node marginals of the `_forward` pass pruned at `eta`, by one backward pass.
 
-    The forward pass here tracks every A row. The backward pass gives each
-    kept state beta, the mass of all its completions, and the sink beta 0.
-    The mass of (state, b_k) at step k is then alpha(state) * f_k(b_k) *
-    factor * beta(next state): bottom k's marginal sums it over the states,
-    and the marginal of an upper node is its bincount over the node's row
-    sum at the bottom where the row closes, so it ends at the largest sum
-    that a kept state reaches there. Each node's weights are normalized by
-    their own sum.
+    The backward pass gives each kept state beta, the mass of all its
+    completions, and the sink beta 0. The mass of (state, b_k) at step k is
+    then alpha(state) * f_k(b_k) * factor * beta(next state): bottom k's
+    marginal sums it over the states, and the marginal of an upper node is
+    its bincount over the node's row sum at the bottom where the row
+    closes, so it ends at the largest sum that a kept state reaches there.
+    Each node's weights are normalized by their own sum.
     """
     steps, total, edge, bound = _forward(h, base, _grid_sizes(h, base, DEFAULT_EPSILON),
-                                         DEFAULT_ARRAY_CAP, base.upper, track_absent=True,
-                                         eta=eta)
+                                         DEFAULT_ARRAY_CAP, eta)
     weights, beta = {}, np.ones(1)
     for k, (alpha, f, factor, to, closed) in reversed(list(enumerate(steps))):
         mass = f * factor * np.append(beta, 0.0)[to]

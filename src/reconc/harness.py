@@ -14,7 +14,6 @@ import io
 import json
 import os
 import warnings
-import zipfile
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -388,37 +387,31 @@ def _narrowest(values: np.ndarray) -> np.ndarray:
 
 
 def _store_draws(out_dir: Path, h: Hierarchy, sid: str, joint: CountJoint) -> dict:
-    """Sampler draws as a CSV, one equal-weight atom per row in draw order."""
+    """Sampler draws as a CSV, one equal-weight atom per row in draw order; the record
+    keys name the file and hold the sampler diagnostics where the joint has them."""
     fname = f"samples_{sid}.csv"
     header = io.StringIO()
     csv.writer(header).writerow(h.bottom_labels)
     with open(out_dir / fname, "wb") as fh:
         fh.write(header.getvalue().encode() + _csv_body(joint.draws))
-    return {"samples_file": fname}
+    if joint.diagnostics is None:
+        return {"samples_file": fname}
+    return {"samples_file": fname, "diagnostics": joint.diagnostics.to_dict()}
 
 
 def _store_npz(out_dir: Path, h: Hierarchy, sid: str, joint) -> dict:
-    """The joint's arrays by field name, each `_narrowest`, in an .npz deflated at level 1."""
+    """The joint's arrays by field name, each `_narrowest`, in a compressed .npz; the record
+    key names the file."""
     fname = f"joint_{sid}.npz"
-    with zipfile.ZipFile(out_dir / fname, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as zf:
-        for name, value in vars(joint).items():
-            if isinstance(value, np.ndarray):
-                with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
-                    np.lib.format.write_array(fh, _narrowest(value), allow_pickle=False)
+    np.savez_compressed(out_dir / fname, **{name: _narrowest(value)
+                                            for name, value in vars(joint).items()
+                                            if isinstance(value, np.ndarray)})
     return {"joint_file": fname}
 
 
 def _store_nothing(out_dir: Path, h: Hierarchy, sid: str, diagnostics: dict) -> dict:
-    """No joint: the artifact is the record's diagnostics."""
+    """No joint: the record keys are the diagnostics."""
     return {"diagnostics": diagnostics}
-
-
-def _write_artifact(out_dir: Path, h: Hierarchy, sid: str, artifact, store: Callable) -> dict:
-    """Write one series' artifact by `store`; returns the record keys that locate it."""
-    keys = store(out_dir, h, sid, artifact)
-    if getattr(artifact, "diagnostics", None) is not None:
-        keys["diagnostics"] = artifact.diagnostics.to_dict()
-    return keys
 
 
 def _count_summaries(joint: CountJoint, h: Hierarchy, alpha: float):
@@ -477,7 +470,7 @@ class Method(NamedTuple):
     """How a method reconciles one series and stores the artifact."""
 
     reconcile: Callable  # (h, entries, sampler, alpha, seed) -> (node summaries, artifact)
-    store: Callable  # (out_dir, h, sid, artifact) -> the record keys that locate it
+    store: Callable  # (out_dir, h, sid, artifact) -> every record key of the artifact
 
 
 #: every method by name; one that stores draws samples them, so it needs a seed
@@ -547,8 +540,7 @@ def run_reconcile(cfg: ExperimentConfig, quiet: bool = False) -> Path:
             raise type(exc)(f"series {sid!r}: {exc}") from exc
         all_summaries[sid] = {"method": cfg.method, "alpha": cfg.scoring.alpha,
                               "nodes": summaries,
-                              **_write_artifact(out_dir, h, sid, artifact,
-                                                METHODS[cfg.method].store)}
+                              **METHODS[cfg.method].store(out_dir, h, sid, artifact)}
         if not quiet:
             print(f"[{cfg.method}] series {sid}")
             print(format_summary_table(h, summaries))
@@ -620,7 +612,12 @@ def run_score(cfg: ExperimentConfig, quiet: bool = False) -> ScoreReport:
         for sid in series_ids:
             if sid not in all_summaries:
                 raise MissingActuals(f"method {method!r} has no reconciled output for series {sid!r}")
-            nodes = [all_summaries[sid]["nodes"][label] for label in h.node_labels]
+            stored = all_summaries[sid]["nodes"]
+            missing = [label for label in h.node_labels if label not in stored]
+            if missing:
+                raise MissingActuals(f"method {method!r} has no reconciled output for node "
+                                     f"{missing[0]!r} of series {sid!r}")
+            nodes = [stored[label] for label in h.node_labels]
             y_nodes, train_levels = truths[sid]
             for node, (level, horizon), y in zip(nodes, levels, y_nodes):
                 report.add(sid, level, horizon, "rps", method, _node_rps(node, int(y)))

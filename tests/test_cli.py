@@ -52,6 +52,35 @@ def test_reconcile_and_score_commands(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_score_prints_the_skill_table(tmp_path, capsys):
+    write_synthetic_observations(tmp_path / "obs.csv")
+    for method in ("normal", "base"):
+        cfg = write_config(tmp_path / f"rec_{method}.json", method=method,
+                           output_dir=f"out_{method}")
+        assert main(["reconcile", "--config", str(cfg), "--quiet"]) == 0
+    score_cfg = write_config(tmp_path / "score.json", output_dir="scores",
+                             methods={"normal": "out_normal", "base": "out_base"})
+    assert main(["score", "--config", str(score_cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "        metric      level             method    skill"
+    assert "          mase      agg12               base    0.583" in lines
+
+
+def test_score_refuses_a_record_that_lacks_a_node(tmp_path, capsys):
+    # outputs reconciled on 2 bottoms, scored on 4
+    write_synthetic_observations(tmp_path / "obs.csv")
+    two = {"bottom_period_count": 2, "factors": [2]}
+    four = {"bottom_period_count": 4, "factors": [2, 4]}
+    rec_cfg = write_config(tmp_path / "rec.json", hierarchy=two, method="normal",
+                           output_dir="out_n")
+    assert main(["reconcile", "--config", str(rec_cfg), "--quiet"]) == 0
+    score_cfg = write_config(tmp_path / "score.json", hierarchy=four,
+                             methods={"normal": "out_n"}, output_dir="scores")
+    assert main(["score", "--config", str(score_cfg), "--quiet"]) == 1
+    assert capsys.readouterr().err == ("error: method 'normal' has no reconciled output for "
+                                       "node 'agg4_1' of series 'bursty'\n")
+
+
 def test_exact_reconcile_runs_the_monthly_hierarchy(tmp_path, capsys):
     # the grid has about 1e12 cells; the pruned pass keeps at most 104882 states (bursty)
     series = write_synthetic_observations(tmp_path / "obs.csv")

@@ -53,6 +53,16 @@ def uniform_pair():
     return BaseForecastSet([half, half], [None])
 
 
+@pytest.mark.parametrize("bottom, upper, message", [
+    ([Poisson(2.0)], [None], "expected 2 bottom forecasts, got 1"),
+    ([Poisson(2.0), None], [None], "bottom forecasts must all be present"),
+    ([Poisson(2.0), Poisson(4.0)], [], "expected 1 upper slots, got 0"),
+])
+def test_base_forecasts_of_the_wrong_shape_are_refused(bottom, upper, message):
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        reconcile_exact(MINIMAL, BaseForecastSet(bottom, upper))
+
+
 def test_bottom_up_uniform_cells():
     joint = bottom_up_exact(MINIMAL, uniform_pair())
     cells = {tuple(a): p for a, p in zip(joint.bottom_support, joint.probabilities)}

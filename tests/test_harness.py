@@ -430,8 +430,7 @@ def test_samples_csv_reads_back_to_the_same_draws(tmp_path, name):
     h = build_temporal_hierarchy(values.shape[1], [values.shape[1]])
     joint = conditioning.CountJoint.from_draws(values)
     record = {"method": "probCount_mcmc",
-              **harness._write_artifact(tmp_path, h, "s1", joint,
-                                        harness.METHODS["probCount_mcmc"].store)}
+              **harness.METHODS["probCount_mcmc"].store(tmp_path, h, "s1", joint)}
     expected = io.StringIO()
     writer = csv.writer(expected)
     writer.writerow(h.bottom_labels)
@@ -628,6 +627,23 @@ def test_base_states_the_forecasts_own_moments_and_its_cut_tails(tmp_path):
         assert 0 < dropped[label] <= 1e-9  # the tail past the 1 - 1e-9 quantile
         assert dropped[label] == pytest.approx(
             1 - sum(Poisson(forecast["lambda"]).pmf(np.arange(len(probs)))), rel=1e-6)
+
+
+def test_base_summarizes_a_gaussian_entry_as_a_gaussian(tmp_path):
+    forecasts = {"b1": {"dist": "poisson", "lambda": 2.0},
+                 "b2": {"dist": "poisson", "lambda": 4.0},
+                 "agg2_1": {"dist": "gaussian", "mean": 6.5, "var": 4.0}}
+    (tmp_path / "fc.json").write_text(json.dumps(forecasts))
+    cfg = harness.load_config(write_config(
+        tmp_path / "cfg.json", hierarchy={"bottom_period_count": 2, "factors": [2]},
+        method="base", forecasts="fc.json", output_dir="out"))
+    out = harness.run_reconcile(cfg, quiet=True)
+    record = json.loads((out / "summaries.json").read_text())["series"]
+    top = record["nodes"]["agg2_1"]
+    assert top["marginal"] == {"dist": "gaussian", "mean": 6.5, "var": 4.0}
+    assert top["mean"] == top["median"] == 6.5 and top["variance"] == 4.0
+    assert record["nodes"]["b2"]["marginal"]["dist"] == "tabulated"
+    assert set(record["diagnostics"]["dropped_mass"]) == {"b1", "b2"}
 
 
 def test_demo_minimal_table2(tmp_path):

@@ -439,10 +439,14 @@ def test_a_pool_that_lost_a_worker_is_dropped(monkeypatch):
     monkeypatch.setattr(conditioning, "_usable_cpus", lambda: 2)
     conditioning._drop_pool()
     reconcile_mcmc(MINIMAL, poisson_249(), **settings)
-    victim = multiprocessing.active_children()[0]
-    os.kill(victim.pid, signal.SIGKILL)
-    victim.join(60)
-    assert not victim.is_alive()
+    workers = [p.pid for p in multiprocessing.active_children()]
+    os.kill(workers[0], signal.SIGKILL)
+    # the pool's manager thread marks the pool broken and only then ends the other worker, so
+    # wait for both pids; it may also reap the victim first, which is_alive() would miss
+    deadline = time.monotonic() + 60
+    while not all(_gone(pid) for pid in workers) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert len(workers) == 2 and all(_gone(pid) for pid in workers)
     after = reconcile_mcmc(MINIMAL, poisson_249(), **settings)
     assert conditioning._pool is None
     monkeypatch.setattr(conditioning, "_usable_cpus", lambda: 1)

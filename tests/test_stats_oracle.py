@@ -36,6 +36,7 @@ def test_negbinomial_matches_scipy_stats(r, p):
     d = NegBinomial(r, p)
     assert np.array_equal(d.cdf(KS), stats.nbinom.cdf(KS, r, p))
     np.testing.assert_allclose(d.pmf(KS), stats.nbinom.pmf(KS, r, p), rtol=1e-12, atol=0)
+    assert d.variance() == pytest.approx(stats.nbinom.var(r, p), rel=1e-12, abs=0)
     for q in QUANTILE_LEVELS:
         k = d.quantile(q)
         assert d.cdf(k) >= q and (k == 0 or d.cdf(k - 1) < q)
